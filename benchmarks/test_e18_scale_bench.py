@@ -10,7 +10,7 @@ binary heap's removal both sides run the event-wheel, so the measured
 ratio isolates the path-cache win and the bar is set accordingly.)
 
 The committed record lives in ``BENCH_scale.json`` at the repo root;
-regenerate it with ``python -m repro.cli scale-bench --json
+regenerate it with ``python -m repro bench scale --json
 BENCH_scale.json`` after intentional performance changes.
 """
 

@@ -6,50 +6,19 @@ outage; clients resubmit through it) and the lineage audit — including
 epoch fencing — stays clean; without it, updates against the dead
 homes stay blocked for the rest of the run.  The run is deterministic,
 so the result is also compared field-for-field against the committed
-``BENCH_availability.json``; regenerate with ``python -m repro.cli
-failover-bench --json BENCH_availability.json`` after intentional
-changes.
+``BENCH_availability.json``; regenerate with ``python -m repro bench
+failover --json BENCH_availability.json`` after intentional changes.
 """
 
 from conftest import run_once
 
-from repro.analysis.failover_bench import (
-    check_gates,
-    load_committed,
-    run_failover_bench,
-)
-from repro.analysis.report import format_table
+from repro.analysis.bench import BENCHES
+
+BENCH = BENCHES["failover"]
 
 
 def test_e20_failover_bench(benchmark, report):
-    result = run_once(benchmark, run_failover_bench)
-    rows = []
-    for tag in ("supervised", "unsupervised"):
-        mode = result[tag]
-        rows.append(
-            [
-                tag,
-                f"{mode['committed']}/{mode['submitted']}",
-                mode["blocked"],
-                mode["failovers"],
-                mode["max_unavailability"],
-                mode["mttr_max"],
-                "ok" if mode["audit_ok"] else "VIOLATIONS",
-            ]
-        )
-    report(
-        format_table(
-            [
-                "mode", "committed", "blocked", "failovers",
-                "max-unavail", "mttr-max", "audit",
-            ],
-            rows,
-            title=(
-                f"E20 — availability failover: {result['nodes']} nodes, "
-                f"{result['fragments']} fragments, k="
-                f"{result['replication_factor']}"
-            ),
-        )
-    )
-    ok, messages = check_gates(result, committed=load_committed())
-    assert ok, "\n".join(messages)
+    result = run_once(benchmark, BENCH.run)
+    report(BENCH.table(result))
+    problems = BENCH.check(result)
+    assert not problems, "\n".join(problems)

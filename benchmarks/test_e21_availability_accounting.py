@@ -7,50 +7,19 @@ seed, every accountant crash window opens at the kill and closes no
 later than the behaviorally measured first-commit window, and the
 supervised/unsupervised contrast reproduces from the accountant alone.
 The record is deterministic and compared field-for-field against the
-committed ``BENCH_obs.json``; regenerate with ``python -m repro.cli
-availability-accounting-bench --json BENCH_obs.json`` after
-intentional changes.
+committed ``BENCH_obs.json``; regenerate with ``python -m repro bench
+accounting --json BENCH_obs.json`` after intentional changes.
 """
 
 from conftest import run_once
 
-from repro.analysis.availability_bench import (
-    check_gates,
-    load_committed,
-    run_availability_accounting_bench,
-)
-from repro.analysis.report import format_table
+from repro.analysis.bench import BENCHES
+
+BENCH = BENCHES["accounting"]
 
 
 def test_e21_availability_accounting_bench(benchmark, report):
-    result = run_once(benchmark, run_availability_accounting_bench)
-    rows = []
-    for tag in ("supervised", "unsupervised"):
-        mode = result[tag]
-        rows.append(
-            [
-                tag,
-                f"{mode['write_availability'] * 100:.2f}%",
-                f"{mode['read_availability'] * 100:.2f}%",
-                mode["worst_window"],
-                mode["windows"],
-                mode["incidents"],
-                mode["timeline_records"],
-            ]
-        )
-    report(
-        format_table(
-            [
-                "mode", "write-avail", "read-avail", "worst-win",
-                "windows", "incidents", "tl-records",
-            ],
-            rows,
-            title=(
-                f"E21 — availability accounting: {result['nodes']} nodes, "
-                f"{result['fragments']} fragments, k="
-                f"{result['replication_factor']}"
-            ),
-        )
-    )
-    ok, messages = check_gates(result, committed=load_committed())
-    assert ok, "\n".join(messages)
+    result = run_once(benchmark, BENCH.run)
+    report(BENCH.table(result))
+    problems = BENCH.check(result)
+    assert not problems, "\n".join(problems)

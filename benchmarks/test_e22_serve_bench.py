@@ -7,45 +7,22 @@ failover, and the §4.4 audit over the live trace must be clean.  Real
 clocks and sockets mean absolute rates vary by machine, so the gate
 against the committed ``BENCH_serve.json`` checks schema and sanity
 (all commits land, throughput positive, p50 <= p99, audit ok), never
-exact numbers; regenerate with ``python -m repro.cli serve-bench
---json BENCH_serve.json`` after intentional changes.
+exact numbers; regenerate with ``python -m repro bench serve --json
+BENCH_serve.json`` after intentional changes.
 """
 
 from conftest import run_once
 
-from repro.analysis.report import format_table
-from repro.analysis.serve_bench import (
-    check_gates,
-    load_committed,
-    run_serve_bench,
-)
+from repro.analysis.bench import BENCHES
+
+BENCH = BENCHES["serve"]
 
 
 def test_e22_serve_bench(benchmark, report):
-    result = run_once(benchmark, run_serve_bench)
-    report(
-        format_table(
-            ["committed", "failovers", "http-retries", "throughput",
-             "p50", "p99", "audit"],
-            [[
-                f"{result['committed']}/{result['submitted']}",
-                result["failovers"],
-                result["retries"],
-                f"{result['throughput_ups']}/s",
-                f"{result['p50_ms']}ms",
-                f"{result['p99_ms']}ms",
-                "ok" if result["audit_ok"] else "VIOLATIONS",
-            ]],
-            title=(
-                f"E22 — HTTP front door on the asyncio backend: "
-                f"{result['nodes']} nodes, {result['fragments']} "
-                f"fragments, k={result['factor']}, {result['clients']} "
-                "clients, one mid-run hard kill"
-            ),
-        )
-    )
-    ok, message = check_gates(result, committed=load_committed())
-    assert ok, message
+    result = run_once(benchmark, BENCH.run)
+    report(BENCH.table(result))
+    problems = BENCH.check(result)
+    assert not problems, "\n".join(problems)
     assert result["failovers"] >= 1, (
         "the hard kill must be carried by a supervisor failover"
     )

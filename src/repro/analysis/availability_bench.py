@@ -21,14 +21,13 @@ accounting layer against the measured ground truth:
   match exactly (and availability must not regress beyond tolerance,
   for partially regenerated records).
 
-Run it with ``python -m repro.cli availability-accounting-bench``.
+Run it with ``python -m repro bench accounting``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 
 from repro.analysis.failover_bench import (
     DEFAULT_FACTOR,
@@ -45,9 +44,6 @@ from repro.obs.timeline import TimelineSampler
 #: the bench hashes every record, and 5-tick resolution is plenty to
 #: catch the kill/failover shape on a 200-tick horizon).
 SAMPLE_TICK = 5.0
-
-#: The committed benchmark record (repo root).
-BENCH_FILE = "BENCH_obs.json"
 
 #: Gate slack on supervised write-availability regression.
 DEFAULT_TOLERANCE = 0.05
@@ -174,11 +170,9 @@ def run_availability_accounting_bench(
     }
 
 
-def check_gates(
-    result: dict,
-    committed: dict | None = None,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> tuple[bool, list[str]]:
+def gates(
+    result: dict, committed: dict | None, tolerance: float = DEFAULT_TOLERANCE
+) -> list[str]:
     """Verify the E21 claims on a fresh result (see module docstring)."""
     messages: list[str] = []
     on = result["supervised"]
@@ -255,23 +249,8 @@ def check_gates(
         if committed != result:
             messages.append(
                 "deterministic record diverges from the committed "
-                "BENCH_obs.json (regenerate with `python -m repro.cli "
-                "availability-accounting-bench --json BENCH_obs.json` "
+                "BENCH_obs.json (regenerate with `python -m repro bench "
+                "accounting --json BENCH_obs.json` "
                 "if the change is intentional)"
             )
-    return not messages, messages
-
-
-def load_committed(path: str = BENCH_FILE) -> dict | None:
-    """The committed benchmark record, or None if absent."""
-    if not os.path.exists(path):
-        return None
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def write_result(result: dict, path: str = BENCH_FILE) -> None:
-    """Write the benchmark record as stable, diff-friendly JSON."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    return messages

@@ -20,13 +20,10 @@ counts, unavailability windows, MTTR observations, audit verdicts,
 state hashes — so the committed ``BENCH_availability.json`` compares
 exactly in CI.  The gates additionally fail on an MTTR regression
 beyond 20% of the committed record or on any state-hash divergence.
-Run it directly with ``python -m repro.cli failover-bench``.
+Run it directly with ``python -m repro bench failover``.
 """
 
 from __future__ import annotations
-
-import json
-import os
 
 from repro.analysis.audit import audit_events
 from repro.availability import AvailabilityConfig
@@ -48,9 +45,6 @@ DEFAULT_HORIZON = 200.0
 #: and the update counts as blocked.
 RESUBMIT_DELAY = 7.5
 MAX_ATTEMPTS = 20
-
-#: The committed benchmark record (repo root).
-BENCH_FILE = "BENCH_availability.json"
 
 #: Gate slack on MTTR regression against the committed record.
 DEFAULT_TOLERANCE = 0.20
@@ -252,11 +246,9 @@ def run_failover_bench(
     }
 
 
-def check_gates(
-    result: dict,
-    committed: dict | None = None,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> tuple[bool, list[str]]:
+def gates(
+    result: dict, committed: dict | None, tolerance: float = DEFAULT_TOLERANCE
+) -> list[str]:
     """Verify the E20 claims on a fresh result.
 
     Intrinsic gates (no committed record needed):
@@ -326,22 +318,7 @@ def check_gates(
             messages.append(
                 "deterministic record diverges from the committed "
                 "BENCH_availability.json (regenerate with `python -m "
-                "repro.cli failover-bench --json BENCH_availability.json` "
+                "repro bench failover --json BENCH_availability.json` "
                 "if the change is intentional)"
             )
-    return not messages, messages
-
-
-def load_committed(path: str = BENCH_FILE) -> dict | None:
-    """The committed benchmark record, or None if absent."""
-    if not os.path.exists(path):
-        return None
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def write_result(result: dict, path: str = BENCH_FILE) -> None:
-    """Write the benchmark record as stable, diff-friendly JSON."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    return messages

@@ -94,23 +94,6 @@ class NemesisConfig:
     n_agent_kills: int = 0
     failover: bool = False
 
-    def message_faults_only(self) -> bool:
-        """True when the plan perturbs messages but never connectivity.
-
-        Connectivity episodes (crashes, partitions, flaps) feed the
-        protocols' *decisions* (majority checks see a different quorum)
-        and so legitimately change which transactions commit; pure
-        message faults must not, which is exactly the E16 hash-match
-        claim.  Bursts only raise the loss rate, so they are message
-        faults too.
-        """
-        return not (
-            self.n_flaps
-            or self.n_crashes
-            or self.n_partitions
-            or self.n_agent_kills
-        )
-
 
 @dataclass
 class NemesisResult:

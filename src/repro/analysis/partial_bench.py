@@ -22,13 +22,12 @@ counts, storage ratios, audit verdicts; no wall-clock timings — so the
 committed ``BENCH_partial.json`` can be compared *exactly* by CI, and
 the scaling gate (multicast volume at factor ``k`` stays within 10% of
 ``k/N`` times the full-broadcast volume) holds on any machine.  Run it
-directly with ``python -m repro.cli partial-bench``.
+directly with ``python -m repro bench partial``.
 """
 
 from __future__ import annotations
 
-import json
-import os
+from collections.abc import Sequence
 
 from repro.analysis.audit import audit_events
 from repro.cc.ops import Write
@@ -41,9 +40,6 @@ DEFAULT_NODES = 12
 DEFAULT_FRAGMENTS = 8
 DEFAULT_UPDATES = 160
 DEFAULT_FACTORS = (2, 3, 5)
-
-#: The committed benchmark record (repo root).
-BENCH_FILE = "BENCH_partial.json"
 
 #: Gate slack on the multicast-vs-broadcast volume ratio.
 DEFAULT_TOLERANCE = 0.10
@@ -149,7 +145,7 @@ def run_partial_bench(
     nodes: int = DEFAULT_NODES,
     fragments: int = DEFAULT_FRAGMENTS,
     updates: int = DEFAULT_UPDATES,
-    factors: tuple[int, ...] = DEFAULT_FACTORS,
+    factors: Sequence[int] = DEFAULT_FACTORS,
     seed: int = 19,
 ) -> dict:
     """The full E19 sweep; returns the ``BENCH_partial.json`` dict."""
@@ -168,11 +164,9 @@ def run_partial_bench(
     }
 
 
-def check_gates(
-    result: dict,
-    committed: dict | None = None,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> tuple[bool, list[str]]:
+def gates(
+    result: dict, committed: dict | None, tolerance: float = DEFAULT_TOLERANCE
+) -> list[str]:
     """Verify the E19 claims on a fresh result (and, optionally, that
     the deterministic record matches the committed one exactly).
 
@@ -224,22 +218,7 @@ def check_gates(
             messages.append(
                 "deterministic record diverges from the committed "
                 "BENCH_partial.json (regenerate with "
-                "`python -m repro.cli partial-bench --json BENCH_partial.json`"
+                "`python -m repro bench partial --json BENCH_partial.json`"
                 " if the change is intentional)"
             )
-    return not messages, messages
-
-
-def load_committed(path: str = BENCH_FILE) -> dict | None:
-    """The committed benchmark record, or None if absent."""
-    if not os.path.exists(path):
-        return None
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def write_result(result: dict, path: str = BENCH_FILE) -> None:
-    """Write the benchmark record as stable, diff-friendly JSON."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    return messages

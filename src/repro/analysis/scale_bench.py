@@ -20,14 +20,12 @@ provably unchanged.  Results are recorded in ``BENCH_scale.json`` at
 the repo root; CI re-runs a reduced configuration and fails if the
 *relative* speedup (which is machine-independent, unlike absolute
 events/second) regresses more than ``tolerance`` against the committed
-file.  Run it directly with ``python -m repro.cli scale-bench``.
+file.  Run it directly with ``python -m repro bench scale``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 from dataclasses import asdict, dataclass
 
 from repro.cc.ops import Read, Write
@@ -38,9 +36,6 @@ from repro.runtime.api import wall_clock
 #: Default full-run shape (the reduced CI smoke passes smaller values).
 DEFAULT_NODES = 32
 DEFAULT_UPDATES = 400
-
-#: The committed benchmark record (repo root).
-BENCH_FILE = "BENCH_scale.json"
 
 #: CI regression tolerance on the relative speedup.
 DEFAULT_TOLERANCE = 0.20
@@ -185,45 +180,28 @@ def run_scale_bench(
     }
 
 
-def check_regression(
-    result: dict, committed: dict, tolerance: float = DEFAULT_TOLERANCE
-) -> tuple[bool, str]:
-    """Gate a fresh result against the committed record.
+def gates(
+    result: dict, committed: dict | None, tolerance: float = DEFAULT_TOLERANCE
+) -> list[str]:
+    """Gate a fresh result, and optionally the committed record.
 
-    Compares the *relative* speedup, not absolute events/second, so the
-    gate holds across machines of different speeds.  Determinism
-    failures (hash or event-count mismatch) always fail regardless of
-    throughput.
+    Determinism failures (hash or event-count mismatch between the two
+    configurations) always fail.  Against a committed record the gate
+    compares the *relative* speedup, not absolute events/second, so it
+    holds across machines of different speeds.
     """
-    if not result.get("state_match"):
-        return False, "final-state hashes diverge between configurations"
-    if not result.get("events_match"):
-        return False, "event counts diverge between configurations"
-    committed_speedup = committed.get("speedup", 0.0)
-    floor = committed_speedup * (1.0 - tolerance)
-    speedup = result.get("speedup", 0.0)
-    if speedup < floor:
-        return False, (
-            f"speedup regressed: {speedup:.2f}x vs committed "
-            f"{committed_speedup:.2f}x (floor {floor:.2f}x at "
-            f"{tolerance:.0%} tolerance)"
-        )
-    return True, (
-        f"speedup {speedup:.2f}x (committed {committed_speedup:.2f}x, "
-        f"floor {floor:.2f}x)"
-    )
-
-
-def load_committed(path: str = BENCH_FILE) -> dict | None:
-    """The committed benchmark record, or None if absent."""
-    if not os.path.exists(path):
-        return None
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def write_result(result: dict, path: str = BENCH_FILE) -> None:
-    """Write the benchmark record as stable, diff-friendly JSON."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    problems = []
+    if not result["state_match"]:
+        problems.append("final-state hashes diverge between configurations")
+    if not result["events_match"]:
+        problems.append("event counts diverge between configurations")
+    if committed is not None:
+        committed_speedup = committed.get("speedup", 0.0)
+        floor = committed_speedup * (1.0 - tolerance)
+        if result["speedup"] < floor:
+            problems.append(
+                f"speedup regressed: {result['speedup']:.2f}x vs committed "
+                f"{committed_speedup:.2f}x (floor {floor:.2f}x at "
+                f"{tolerance:.0%} tolerance)"
+            )
+    return problems

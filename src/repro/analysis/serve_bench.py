@@ -20,7 +20,7 @@ Unlike E18/E20 the numbers here come from real clocks and real
 sockets, so the committed ``BENCH_serve.json`` is gated on *schema
 and sanity* (all commits land, throughput positive, p50 ≤ p99, audit
 clean) — never on exact hashes or absolute rates.  Run it directly
-with ``python -m repro.cli serve-bench``.
+with ``python -m repro bench serve``.
 
 :func:`run_live_chaos` is the same machinery pointed at fault
 injection: ``repro chaos --backend=asyncio`` arms per-node fault
@@ -31,7 +31,6 @@ mid-run, and asserts the guarantees on the captured trace.
 from __future__ import annotations
 
 import json
-import os
 import threading
 import time
 import urllib.error
@@ -50,9 +49,6 @@ DEFAULT_UPDATES = 40
 DEFAULT_FACTOR = 3
 DEFAULT_CLIENTS = 4
 DEFAULT_TICK = 0.01
-
-#: The committed benchmark record (repo root).
-BENCH_FILE = "BENCH_serve.json"
 
 
 def build_system(
@@ -314,13 +310,16 @@ def run_live_chaos(
     }
 
 
-def check_gates(result: dict, committed: dict | None) -> tuple[bool, str]:
+def gates(
+    result: dict, committed: dict | None, tolerance: float | None = None
+) -> list[str]:
     """Sanity-and-schema gate for a fresh E22 run.
 
     Real clocks mean absolute rates are machine-dependent, so the gate
     asserts only what must hold everywhere: the recorded schema is
     stable, every submitted update committed, throughput is positive,
-    the latency distribution is ordered, and the audit is clean.
+    the latency distribution is ordered, and the audit is clean.  It
+    takes no tolerance.
     """
     problems = []
     if result.get("committed") != result.get("submitted"):
@@ -345,29 +344,9 @@ def check_gates(result: dict, committed: dict | None) -> tuple[bool, str]:
         extra = set(result) - set(committed)
         if missing or extra:
             problems.append(
-                f"schema drift vs {BENCH_FILE}: missing={sorted(missing)} "
-                f"extra={sorted(extra)} (regenerate with `python -m "
-                f"repro.cli serve-bench --json {BENCH_FILE}`)"
+                f"schema drift vs the committed record: "
+                f"missing={sorted(missing)} extra={sorted(extra)} "
+                "(regenerate with `python -m repro bench serve --json "
+                "BENCH_serve.json`)"
             )
-    if problems:
-        return False, "; ".join(problems)
-    return True, (
-        f"{result['committed']}/{result['submitted']} committed at "
-        f"{result['throughput_ups']} updates/s (p50 {result['p50_ms']}ms, "
-        f"p99 {result['p99_ms']}ms), audit clean"
-    )
-
-
-def load_committed(path: str = BENCH_FILE) -> dict | None:
-    """The committed benchmark record, or None if absent."""
-    if not os.path.exists(path):
-        return None
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def write_result(result: dict, path: str = BENCH_FILE) -> None:
-    """Write the benchmark record as stable, diff-friendly JSON."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    return problems

@@ -81,11 +81,6 @@ class TxnHandle:
         """Objects read (committed versions only), in read order."""
         return [obj for obj, _ in self.reads]
 
-    @property
-    def write_set(self) -> list[str]:
-        """Objects written, in first-write order."""
-        return list(self.write_buffer)
-
 
 class LocalScheduler:
     """The per-node strict-2PL scheduler."""

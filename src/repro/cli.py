@@ -19,6 +19,7 @@
     python -m repro metrics --watch 10 --timeline-out tl.jsonl
     python -m repro dashboard out.jsonl --timeline tl.jsonl --html dash.html
     python -m repro dashboard out.jsonl --serve   # live-reloading server
+    python -m repro bench partial --check BENCH_partial.json  # E19 gate
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import argparse
 import sys
 import time
 
+from repro.analysis.bench import BENCHES, load_record, write_record
 from repro.analysis.report import (
     format_metrics_snapshot,
     format_table,
@@ -435,64 +437,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_serve_bench(args: argparse.Namespace) -> int:
-    from repro.analysis.serve_bench import (
-        check_gates,
-        load_committed,
-        run_serve_bench,
-        write_result,
-    )
-
-    result = run_serve_bench(
-        nodes=args.nodes,
-        fragments=args.fragments,
-        updates=args.updates,
-        factor=args.factor,
-        clients=args.clients,
-        tick=args.tick,
-        kill=not args.no_kill,
-        trace_path=args.trace,
-    )
-    print(
-        format_table(
-            ["committed", "failovers", "http-retries", "throughput",
-             "p50", "p99", "audit"],
-            [[
-                f"{result['committed']}/{result['submitted']}",
-                result["failovers"],
-                result["retries"],
-                f"{result['throughput_ups']}/s",
-                f"{result['p50_ms']}ms",
-                f"{result['p99_ms']}ms",
-                "ok" if result["audit_ok"]
-                else f"FAIL:{result['audit_violations']}",
-            ]],
-            title=(
-                f"E22 — HTTP front door on the asyncio backend: "
-                f"{args.nodes} nodes, {args.fragments} fragments, "
-                f"k={args.factor}, {args.clients} clients"
-                + ("" if args.no_kill else ", one mid-run hard kill")
-            ),
-        )
-    )
-    committed = None
-    if args.check:
-        committed = load_committed(args.check)
-        if committed is None:
-            print(f"error: no committed benchmark at {args.check}",
-                  file=sys.stderr)
-            return 1
-    ok, message = check_gates(result, committed)
-    if ok:
-        print("all gates OK: " + message)
-    else:
-        print("GATE FAILED: " + message, file=sys.stderr)
-    if args.json:
-        write_result(result, args.json)
-        print(f"wrote {args.json}")
-    return 0 if ok else 1
-
-
 def cmd_checkpoint(args: argparse.Namespace) -> int:
     import json
 
@@ -732,183 +676,6 @@ def _print_watch(sampler) -> int:
     return len(ticks)
 
 
-def cmd_scale_bench(args: argparse.Namespace) -> int:
-    from repro.analysis.scale_bench import (
-        check_regression,
-        load_committed,
-        run_scale_bench,
-        write_result,
-    )
-
-    result = run_scale_bench(
-        nodes=args.nodes, updates=args.updates, repeats=args.repeats
-    )
-    base = result["baseline"]
-    flat = result["flattened"]
-    print(
-        format_table(
-            ["side", "path cache", "events", "elapsed s",
-             "events/s", "MC"],
-            [
-                ["baseline", base["path_cache"],
-                 base["events_fired"], base["elapsed_s"],
-                 base["throughput_eps"], base["mutually_consistent"]],
-                ["flattened", flat["path_cache"],
-                 flat["events_fired"], flat["elapsed_s"],
-                 flat["throughput_eps"], flat["mutually_consistent"]],
-            ],
-            title=(
-                f"E18 — scale bench: {args.nodes} nodes, "
-                f"{args.updates} updates, speedup {result['speedup']}x"
-            ),
-        )
-    )
-    print(f"state hashes match:  {result['state_match']}")
-    print(f"event counts match:  {result['events_match']}")
-    if not (result["state_match"] and result["events_match"]):
-        print("error: configurations diverged — determinism contract broken",
-              file=sys.stderr)
-        return 1
-    if args.check:
-        committed = load_committed(args.check)
-        if committed is None:
-            print(f"error: no committed benchmark at {args.check}",
-                  file=sys.stderr)
-            return 1
-        ok, message = check_regression(result, committed, args.tolerance)
-        print(("OK: " if ok else "REGRESSION: ") + message)
-        if args.json:
-            write_result(result, args.json)
-        return 0 if ok else 1
-    if args.json:
-        write_result(result, args.json)
-        print(f"wrote {args.json}")
-    return 0
-
-
-def cmd_partial_bench(args: argparse.Namespace) -> int:
-    from repro.analysis.partial_bench import (
-        check_gates,
-        load_committed,
-        run_partial_bench,
-        write_result,
-    )
-
-    result = run_partial_bench(
-        nodes=args.nodes,
-        fragments=args.fragments,
-        updates=args.updates,
-        factors=tuple(args.factors),
-        seed=args.seed,
-    )
-    rows = []
-    baseline = result["baseline"]
-    for point in result["points"] + [baseline]:
-        ratio = (
-            point["qt_messages"] / baseline["qt_messages"]
-            if baseline["qt_messages"]
-            else 0.0
-        )
-        rows.append([
-            point["k"],
-            point["qt_messages"],
-            f"{ratio:.2f}",
-            f"{point['k'] / result['nodes']:.2f}",
-            point["storage_ratio"],
-            f"{point['quorum_served']}/{point['quorum_reads']}",
-            point["mutually_consistent"],
-            point["audit_ok"],
-        ])
-    print(
-        format_table(
-            ["k", "qt msgs", "vs bcast", "k/N", "storage", "quorum",
-             "MC", "audit"],
-            rows,
-            title=(
-                f"E19 — partial replication: {args.nodes} nodes, "
-                f"{args.fragments} fragments, {args.updates} updates"
-            ),
-        )
-    )
-    committed = None
-    if args.check:
-        committed = load_committed(args.check)
-        if committed is None:
-            print(f"error: no committed benchmark at {args.check}",
-                  file=sys.stderr)
-            return 1
-    ok, problems = check_gates(result, committed, args.tolerance)
-    for problem in problems:
-        print("GATE FAILED: " + problem, file=sys.stderr)
-    if ok:
-        print("all gates OK: multicast volume scales with k, storage "
-              "tracks k/N, quorum reads served")
-    if args.json:
-        write_result(result, args.json)
-        print(f"wrote {args.json}")
-    return 0 if ok else 1
-
-
-def cmd_failover_bench(args: argparse.Namespace) -> int:
-    from repro.analysis.failover_bench import (
-        check_gates,
-        load_committed,
-        run_failover_bench,
-        write_result,
-    )
-
-    result = run_failover_bench(
-        nodes=args.nodes,
-        fragments=args.fragments,
-        updates=args.updates,
-        factor=args.factor,
-        seed=args.seed,
-    )
-    rows = []
-    for tag in ("supervised", "unsupervised"):
-        mode = result[tag]
-        rows.append([
-            tag,
-            f"{mode['committed']}/{mode['submitted']}",
-            mode["blocked"],
-            mode["attempts"],
-            mode["failovers"],
-            mode["demotions"],
-            round(mode["max_unavailability"], 1),
-            round(mode["mttr_max"], 1),
-            mode["audit_ok"],
-        ])
-    print(
-        format_table(
-            ["mode", "committed", "blocked", "attempts", "failovers",
-             "demotions", "max-unavail", "mttr-max", "audit"],
-            rows,
-            title=(
-                f"E20 — availability failover: {args.nodes} nodes, "
-                f"{args.fragments} fragments, k={args.factor}, "
-                f"seed {args.seed}"
-            ),
-        )
-    )
-    committed = None
-    if args.check:
-        committed = load_committed(args.check)
-        if committed is None:
-            print(f"error: no committed benchmark at {args.check}",
-                  file=sys.stderr)
-            return 1
-    ok, problems = check_gates(result, committed, args.tolerance)
-    for problem in problems:
-        print("GATE FAILED: " + problem, file=sys.stderr)
-    if ok:
-        print("all gates OK: supervised outages bounded, every update "
-              "completed, audit (incl. epoch fencing) clean")
-    if args.json:
-        write_result(result, args.json)
-        print(f"wrote {args.json}")
-    return 0 if ok else 1
-
-
 def cmd_dashboard(args: argparse.Namespace) -> int:
     from repro.obs.dashboard import dashboard_from_trace, serve_dashboard
 
@@ -947,69 +714,54 @@ def cmd_dashboard(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_availability_accounting_bench(args: argparse.Namespace) -> int:
-    from repro.analysis.availability_bench import (
-        check_gates,
-        load_committed,
-        run_availability_accounting_bench,
-        write_result,
-    )
-
-    result = run_availability_accounting_bench(
-        nodes=args.nodes,
-        fragments=args.fragments,
-        updates=args.updates,
-        factor=args.factor,
-        seed=args.seed,
-    )
-    rows = []
-    for tag in ("supervised", "unsupervised"):
-        mode = result[tag]
-        rows.append([
-            tag,
-            f"{mode['write_availability'] * 100:.2f}%",
-            f"{mode['read_availability'] * 100:.2f}%",
-            round(mode["worst_window"], 1),
-            mode["windows"],
-            mode["incidents"],
-            mode["mttd_mean"] if mode["mttd_mean"] is not None else "-",
-            mode["mttr_mean"] if mode["mttr_mean"] is not None else "-",
-            mode["timeline_records"],
-        ])
-    print(
-        format_table(
-            ["mode", "write-avail", "read-avail", "worst-win", "windows",
-             "incidents", "mttd", "mttr", "tl-records"],
-            rows,
-            title=(
-                f"E21 — availability accounting: {args.nodes} nodes, "
-                f"{args.fragments} fragments, k={args.factor}, "
-                f"seed {args.seed}"
-            ),
-        )
-    )
-    deterministic = (
-        result["rerun_timeline_hash"]
-        == result["supervised"]["timeline_hash"]
-    )
-    print(f"timeline deterministic across reruns: {deterministic}")
+def cmd_bench(args: argparse.Namespace) -> int:
+    bench = BENCHES[args.bench]
     committed = None
     if args.check:
-        committed = load_committed(args.check)
+        committed = load_record(args.check)
         if committed is None:
             print(f"error: no committed benchmark at {args.check}",
                   file=sys.stderr)
             return 1
-    ok, problems = check_gates(result, committed, args.tolerance)
+    result = bench.run(**{dest: getattr(args, dest) for dest in args.run_args})
+    print(bench.table(result))
+    problems = bench.gates(result, committed, getattr(args, "tolerance", None))
     for problem in problems:
         print("GATE FAILED: " + problem, file=sys.stderr)
-    if ok:
-        print("all gates OK: accountant deterministic, windows agree "
-              "with the measured E20 ground truth")
+    if not problems:
+        print("all gates OK: " + bench.claim)
     if args.json:
-        write_result(result, args.json)
+        write_record(result, args.json)
         print(f"wrote {args.json}")
-    return 0 if ok else 1
+    return 1 if problems else 0
+
+
+def _add_bench_parsers(sub) -> None:
+    bench_parser = sub.add_parser(
+        "bench", help="run one gated benchmark record (E18-E22)"
+    )
+    benches = bench_parser.add_subparsers(dest="bench", required=True)
+    for bench in BENCHES.values():
+        parser = benches.add_parser(bench.name, help=bench.help)
+        run_args = [
+            parser.add_argument(flag, **kwargs).dest
+            for flag, kwargs in bench.options
+        ]
+        parser.add_argument(
+            "--json", default=None, metavar="PATH",
+            help=f"write the result record ({bench.record} format) here",
+        )
+        parser.add_argument(
+            "--check", default=None, metavar="BASELINE",
+            help="gate against a committed record; exit 1 on failure",
+        )
+        if bench.tolerance is not None:
+            parser.add_argument(
+                "--tolerance", type=float, default=bench.tolerance,
+                help=f"{bench.tolerance_help} "
+                f"(default {bench.tolerance:.2f})",
+            )
+        parser.set_defaults(func=cmd_bench, run_args=run_args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1236,115 +988,6 @@ def build_parser() -> argparse.ArgumentParser:
     dashboard.add_argument("--port", type=int, default=8377)
     dashboard.set_defaults(func=cmd_dashboard)
 
-    scale = sub.add_parser(
-        "scale-bench",
-        help="E18 path-cache throughput A/B with determinism check",
-    )
-    scale.add_argument("--nodes", type=int, default=32)
-    scale.add_argument("--updates", type=int, default=400)
-    scale.add_argument(
-        "--repeats", type=int, default=1,
-        help="timing repeats per side; fastest sample wins",
-    )
-    scale.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="write the result record (BENCH_scale.json format) here",
-    )
-    scale.add_argument(
-        "--check", default=None, metavar="BASELINE",
-        help="compare against a committed record; exit 1 on regression",
-    )
-    scale.add_argument(
-        "--tolerance", type=float, default=0.20,
-        help="allowed relative-speedup regression for --check (default 0.20)",
-    )
-    scale.set_defaults(func=cmd_scale_bench)
-
-    partial = sub.add_parser(
-        "partial-bench",
-        help="E19 message volume and storage vs replication factor k",
-    )
-    partial.add_argument("--nodes", type=int, default=12)
-    partial.add_argument("--fragments", type=int, default=8)
-    partial.add_argument("--updates", type=int, default=160)
-    partial.add_argument("--seed", type=int, default=19)
-    partial.add_argument(
-        "--factors", type=int, nargs="+", default=[2, 3, 5], metavar="K",
-        help="replication factors to sweep (full replication is always "
-        "run as the baseline)",
-    )
-    partial.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="write the result record (BENCH_partial.json format) here",
-    )
-    partial.add_argument(
-        "--check", default=None, metavar="BASELINE",
-        help="verify the scaling gates and exact match against a "
-        "committed record; exit 1 on failure",
-    )
-    partial.add_argument(
-        "--tolerance", type=float, default=0.10,
-        help="slack on the (k/N)-scaling gates for --check (default 0.10)",
-    )
-    partial.set_defaults(func=cmd_partial_bench)
-
-    failover = sub.add_parser(
-        "failover-bench",
-        help="E20 write availability under agent-home crashes, with and "
-        "without the availability supervisor",
-    )
-    failover.add_argument("--nodes", type=int, default=6)
-    failover.add_argument("--fragments", type=int, default=3)
-    failover.add_argument("--updates", type=int, default=36)
-    failover.add_argument(
-        "--factor", type=int, default=3,
-        help="replication factor for every fragment",
-    )
-    failover.add_argument("--seed", type=int, default=20)
-    failover.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="write the result record (BENCH_availability.json format) here",
-    )
-    failover.add_argument(
-        "--check", default=None, metavar="BASELINE",
-        help="verify the availability gates and exact match against a "
-        "committed record; exit 1 on failure",
-    )
-    failover.add_argument(
-        "--tolerance", type=float, default=0.20,
-        help="allowed MTTR regression for --check (default 0.20)",
-    )
-    failover.set_defaults(func=cmd_failover_bench)
-
-    accounting = sub.add_parser(
-        "availability-accounting-bench",
-        help="E21 accountant-vs-measured availability agreement, with "
-        "timeline determinism hashing",
-    )
-    accounting.add_argument("--nodes", type=int, default=6)
-    accounting.add_argument("--fragments", type=int, default=3)
-    accounting.add_argument("--updates", type=int, default=36)
-    accounting.add_argument(
-        "--factor", type=int, default=3,
-        help="replication factor for every fragment",
-    )
-    accounting.add_argument("--seed", type=int, default=20)
-    accounting.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="write the result record (BENCH_obs.json format) here",
-    )
-    accounting.add_argument(
-        "--check", default=None, metavar="BASELINE",
-        help="verify the accounting gates and exact match against a "
-        "committed record; exit 1 on failure",
-    )
-    accounting.add_argument(
-        "--tolerance", type=float, default=0.05,
-        help="allowed write-availability regression for --check "
-        "(default 0.05)",
-    )
-    accounting.set_defaults(func=cmd_availability_accounting_bench)
-
     serve = sub.add_parser(
         "serve",
         help="boot the asyncio runtime backend (real TCP between nodes) "
@@ -1381,45 +1024,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.set_defaults(func=cmd_serve)
 
-    serve_bench = sub.add_parser(
-        "serve-bench",
-        help="E22 HTTP-path throughput/latency on the asyncio backend, "
-        "with a mid-run hard kill ridden by supervisor failover",
-    )
-    serve_bench.add_argument("--nodes", type=int, default=5)
-    serve_bench.add_argument("--fragments", type=int, default=2)
-    serve_bench.add_argument("--updates", type=int, default=40)
-    serve_bench.add_argument(
-        "--factor", type=int, default=3,
-        help="replication factor for every fragment",
-    )
-    serve_bench.add_argument(
-        "--clients", type=int, default=4,
-        help="concurrent HTTP client threads",
-    )
-    serve_bench.add_argument(
-        "--tick", type=float, default=0.01, metavar="SECONDS",
-        help="real seconds per simulated tick (default 0.01 — fast "
-        "failure detection for benching)",
-    )
-    serve_bench.add_argument(
-        "--no-kill", action="store_true", dest="no_kill",
-        help="skip the mid-run hard kill (pure throughput run)",
-    )
-    serve_bench.add_argument(
-        "--trace", default=None, metavar="PATH",
-        help="capture the live trace to this JSONL file",
-    )
-    serve_bench.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="write the result record (BENCH_serve.json format) here",
-    )
-    serve_bench.add_argument(
-        "--check", default=None, metavar="BASELINE",
-        help="verify the sanity gates and record schema against a "
-        "committed record; exit 1 on failure",
-    )
-    serve_bench.set_defaults(func=cmd_serve_bench)
+    _add_bench_parsers(sub)
     return parser
 
 

@@ -105,11 +105,6 @@ class DatabaseNode:
         return self.streams.epoch
 
     @property
-    def qt_buffer(self) -> dict[str, dict[tuple[int, int], QuasiTransaction]]:
-        """Fragment -> out-of-order admission buffer."""
-        return self.streams.buffer
-
-    @property
     def qt_archive(self) -> dict[str, dict[int, QuasiTransaction]]:
         """Fragment -> archive of every quasi-transaction seen."""
         return self.streams.archive

@@ -136,12 +136,3 @@ class ReadAccessGraph:
             if u in component and v in component:
                 induced.add_edge(u, v)
         return induced.is_elementarily_acyclic()
-
-    def as_digraph(self) -> Digraph:
-        """A copy of the underlying digraph (for the l.s.g. builder)."""
-        copy = Digraph()
-        for node in self._graph.nodes:
-            copy.add_node(node)
-        for u, v in self._graph.edges:
-            copy.add_edge(u, v)
-        return copy

@@ -777,9 +777,14 @@ class FragmentedDatabase:
             self._deferred_crashes = []
 
     def stop_runtime(self) -> None:
-        """Tear the asyncio backend down (no-op on the simulator)."""
+        """Tear the asyncio backend down (no-op on the simulator).
+
+        Timers stop first, then the TCP mesh closes under a quiet
+        stack, then the loop ends: no callback ever sees a dead mesh.
+        """
         if self.runtime_name != "asyncio":
             return
+        self.sim.halt()
         self.network.stop()
         self.sim.stop()
 

@@ -160,18 +160,6 @@ class ReliableBroadcast:
             self._process(sender, payload)
         return seq
 
-    def unicast_replay(self, src: str, dst: str, payload_seq: int, body: Any,
-                       kind: str = "replay", stream: str = "") -> None:
-        """Re-send a previously broadcast payload to one node.
-
-        Used by the majority-commit move protocol (Section 4.4.1) when a
-        new home node fetches quasi-transactions it missed.  The replay
-        goes through the same FIFO machinery, so duplicates (a replay of
-        something that later arrives via the held original) are dropped.
-        """
-        payload = SeqPayload(src, payload_seq, kind, body, stream)
-        self.network.send(src, dst, kind, payload)
-
     # -- receive path ---------------------------------------------------
 
     def handle_message(self, message: Message) -> None:

@@ -171,18 +171,6 @@ class Network:
         self._transmit(message)
         return message
 
-    def broadcast_raw(self, src: str, kind: str, payload: Any) -> list[Message]:
-        """Unreliable convenience: unicast to every other registered node.
-
-        The *reliable* broadcast of the paper lives in
-        :mod:`repro.net.broadcast`; this raw variant is its transport.
-        """
-        return [
-            self.send(src, dst, kind, payload)
-            for dst in self._handlers
-            if dst != src
-        ]
-
     # -- partition lifecycle ----------------------------------------------
 
     def topology_changed(self) -> None:

@@ -13,10 +13,9 @@ tagged object and is reconstructed as a *real instance* on the far
 side — receivers dispatch on ``isinstance(payload, RPacket)`` /
 ``isinstance(payload, SeqPayload)``, so a dict lookalike would not do.
 Tuples, sets, bytes, and non-string-keyed dicts get their own tags
-(JSON would silently flatten them to lists/strings).  Anything
-unregistered falls back to pickle-in-base64 so exotic workload values
-still travel; the fallback is counted so a hot path quietly leaning on
-pickle shows up in metrics.
+(JSON would silently flatten them to lists/strings).  Anything else
+is a loud :class:`CodecError` at encode: nothing executable is ever
+decoded off a socket.
 
 Frames on the socket are ``4-byte big-endian length + JSON body`` —
 self-delimiting, so one TCP connection carries any number of messages
@@ -28,7 +27,6 @@ from __future__ import annotations
 
 import base64
 import json
-import pickle
 import struct
 from typing import Any
 
@@ -42,7 +40,7 @@ MAX_FRAME = 64 * 1024 * 1024
 
 
 class CodecError(Exception):
-    """A frame that cannot be decoded."""
+    """A value that cannot be encoded, or a frame that cannot be decoded."""
 
 
 class WireCodec:
@@ -50,6 +48,7 @@ class WireCodec:
 
     def __init__(self) -> None:
         self._types: dict[str, type] = {}
+        #: Always 0: the pickle path is gone; kept for existing readers.
         self.pickle_fallbacks = 0
 
     def register(self, cls: type) -> type:
@@ -124,9 +123,7 @@ class WireCodec:
                 "type": cls_name,
                 "fields": {k: self.encode(v) for k, v in fields.items()},
             }
-        self.pickle_fallbacks += 1
-        blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        return {_TAG: "pickle", "b64": base64.b64encode(blob).decode()}
+        raise CodecError(f"unregistered wire type {cls_name!r}")
 
     def decode(self, value: Any) -> Any:
         """Inverse of :meth:`encode`."""
@@ -155,8 +152,6 @@ class WireCodec:
                 raise CodecError(f"unregistered wire type {value['type']!r}")
             fields = {k: self.decode(v) for k, v in value["fields"].items()}
             return cls(**fields)
-        if tag == "pickle":
-            return pickle.loads(base64.b64decode(value["b64"]))
         raise CodecError(f"unknown wire tag {tag!r}")
 
 

@@ -115,6 +115,7 @@ class AsyncioScheduler:
         self._tracer: Tracer | None = None
         self.errors: list[tuple[str, BaseException]] = []
         self._started = threading.Event()
+        self._halted = False
 
     # -- lifecycle -------------------------------------------------------
 
@@ -128,6 +129,7 @@ class AsyncioScheduler:
         if self._loop is not None:
             return
         self._loop = asyncio.new_event_loop()
+        self._halted = False
         self._started.clear()
         self._thread = threading.Thread(
             target=self._run_loop, name="repro-runtime", daemon=True
@@ -143,6 +145,16 @@ class AsyncioScheduler:
         self._origin = loop.time()
         loop.call_soon(self._started.set)
         loop.run_forever()
+
+    def halt(self) -> None:
+        """Stop running scheduled callbacks; the loop keeps serving I/O.
+
+        The first step of teardown: after this returns, no protocol
+        timer fires again, so the transport can close underneath a
+        quiet stack before :meth:`stop` ends the loop.  Idempotent.
+        """
+        if self._loop is not None:
+            self.invoke(lambda: setattr(self, "_halted", True))
 
     def stop(self) -> None:
         """Stop the loop and join its thread; idempotent."""
@@ -287,24 +299,34 @@ class AsyncioScheduler:
     ) -> _RecurringHandle:
         """Fire every ``interval`` ticks while the next firing <= ``until``.
 
-        Same contract as the simulator's, with one strengthening:
-        cancelling the returned handle stops the chain at any point,
-        not just before the first firing — a real-time backend must be
-        able to shut periodic work down promptly.
+        Same contract as the simulator's: firings are anchored at
+        ``start + k·interval``, so lateness never accumulates.  A firing
+        that lag pushed past its successor's slot is skipped rather than
+        fired in a burst.  One strengthening: cancelling the returned
+        handle stops the chain at any point, not just before the first
+        firing — a real-time backend must be able to shut periodic work
+        down promptly.
         """
         if interval <= 0:
             raise SimulationError(f"interval must be positive (got {interval})")
-        if self.now + interval > until:
+        start = self.now
+        if start + interval > until:
             raise SimulationError(
                 f"recurring horizon {until} is before the first firing "
-                f"at {self.now + interval}"
+                f"at {start + interval}"
             )
         chain = _RecurringHandle(label)
+        slot = 1
 
         def fire() -> None:
+            nonlocal slot
             callback()
-            if not chain._cancelled and self.now + interval <= until:
-                chain._current = self.schedule(interval, fire, label)
+            # The next slot still ahead of the clock (a late firing
+            # skips the slots it overran).
+            slot = max(slot + 1, int((self.now - start) / interval) + 1)
+            due = start + slot * interval
+            if not chain._cancelled and due <= until:
+                chain._current = self.schedule_at(due, fire, label)
 
         chain._current = self.schedule(interval, fire, label)
         return chain
@@ -321,10 +343,10 @@ class AsyncioScheduler:
         return True
 
     def _fire(self, handle: _AsyncHandle, callback: Callable[[], None]) -> None:
-        if handle._cancelled:
-            self._settle(handle)
+        if handle._settled:
             return
-        if not self._settle(handle):
+        if handle._cancelled or self._halted:
+            self._settle(handle)
             return
         handle._fired = True
         self._fired += 1
@@ -339,6 +361,11 @@ class AsyncioScheduler:
                     label=handle._label,
                     error=repr(exc),
                 )
+        finally:
+            # Settled only after the callback: whatever it re-arms is
+            # pending before this slot is released, so a quiescing
+            # run() never sees zero in the middle of a chain.
+            self._settle(handle)
 
     def _cancel(self, handle: _AsyncHandle) -> None:
         def do_cancel() -> None:

@@ -130,9 +130,11 @@ class TcpMeshNetwork(Network):
         if not self._started or not self.sim.running:
             return
         self.sim.run_coroutine(self._stop())
-        self._started = False
 
     async def _stop(self) -> None:
+        # From here on inbound frames are dropped unread, so no protocol
+        # handler can open a new channel while the old ones close.
+        self._started = False
         for server in self._servers.values():
             server.close()
         senders = list(self._senders.values())
@@ -169,10 +171,6 @@ class TcpMeshNetwork(Network):
         for server in self._servers.values():
             await server.wait_closed()
         self._servers.clear()
-
-    def port_of(self, node: str) -> int:
-        """The real server port of ``node`` (after :meth:`start`)."""
-        return self._ports[node]
 
     def _outbox_depth(self) -> int:
         return sum(q.qsize() for q in self._queues.values())
@@ -271,6 +269,8 @@ class TcpMeshNetwork(Network):
                 pass
 
     def _on_frame(self, message: Message) -> None:
+        if not self._started:
+            return
         self._c_frames_in.inc()
         guard = self.down_guard
         if guard is not None and guard(message.dst):

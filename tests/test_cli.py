@@ -1,8 +1,13 @@
 """Tests for the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
+from repro.analysis.bench import BENCHES, load_record, write_record
 from repro.cli import build_parser, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestCli:
@@ -68,7 +73,7 @@ class TestCli:
     def test_partial_bench_reduced_run(self, capsys, tmp_path):
         path = str(tmp_path / "bench.json")
         assert main([
-            "partial-bench", "--nodes", "6", "--fragments", "3",
+            "bench", "partial", "--nodes", "6", "--fragments", "3",
             "--updates", "30", "--factors", "2", "3", "--json", path,
         ]) == 0
         out = capsys.readouterr().out
@@ -77,9 +82,39 @@ class TestCli:
         # The record it just wrote gates cleanly (and, being fully
         # deterministic, matches an immediate re-run exactly).
         assert main([
-            "partial-bench", "--nodes", "6", "--fragments", "3",
+            "bench", "partial", "--nodes", "6", "--fragments", "3",
             "--updates", "30", "--factors", "2", "3", "--check", path,
         ]) == 0
+
+    @pytest.mark.parametrize("name", sorted(BENCHES))
+    def test_bench_record_round_trips(self, name, tmp_path):
+        # Each committed record loads, and write_record reproduces it
+        # byte for byte, so `--json` over a committed file is a no-op
+        # when the bench's output is unchanged.
+        committed_path = ROOT / BENCHES[name].record
+        committed = load_record(str(committed_path))
+        assert committed is not None, f"{committed_path} missing"
+        fresh = tmp_path / "record.json"
+        write_record(committed, str(fresh))
+        assert fresh.read_bytes() == committed_path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scale-bench"],
+            ["partial-bench"],
+            ["failover-bench"],
+            ["availability-accounting-bench"],
+            ["serve-bench"],
+            ["bench", "serve", "--tolerance", "0.1"],
+        ],
+    )
+    def test_old_bench_commands_and_serve_tolerance_rejected(
+        self, argv, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
     def test_chaos_with_partial_replication(self, capsys):
         assert main([
@@ -167,7 +202,7 @@ class TestObservabilityCommands:
     ):
         path = str(tmp_path / "bench.json")
         assert main([
-            "availability-accounting-bench", "--nodes", "4",
+            "bench", "accounting", "--nodes", "4",
             "--fragments", "2", "--updates", "12", "--factor", "3",
             "--json", path,
         ]) == 0
@@ -177,7 +212,7 @@ class TestObservabilityCommands:
         assert "all gates OK" in out
         # The record it just wrote gates cleanly against itself.
         assert main([
-            "availability-accounting-bench", "--nodes", "4",
+            "bench", "accounting", "--nodes", "4",
             "--fragments", "2", "--updates", "12", "--factor", "3",
             "--check", path,
         ]) == 0

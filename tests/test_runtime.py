@@ -6,6 +6,11 @@ so these tests drive real sockets and a real event loop through the
 exact entry points the simulated tests use.
 """
 
+import base64
+import gc
+import json
+import logging
+import pickle
 import threading
 import time
 
@@ -100,15 +105,20 @@ class Odd:
     def __init__(self, v):
         self.v = v
 
-    def __eq__(self, other):
-        return isinstance(other, Odd) and other.v == self.v
 
-
-def test_codec_pickle_fallback_for_unregistered_types():
+def test_codec_rejects_unregistered_types_and_pickle_frames():
     codec = default_codec()
-    frame = codec.encode_frame(Message("A", "B", "odd", Odd(5)))
-    assert codec.decode_frame(frame[4:]).payload == Odd(5)
-    assert codec.pickle_fallbacks > 0
+    with pytest.raises(CodecError, match="unregistered wire type 'Odd'"):
+        codec.encode_frame(Message("A", "B", "odd", Odd(5)))
+    # A peer-built pickle frame is refused, never unpickled.
+    blob = base64.b64encode(pickle.dumps(Odd(5))).decode()
+    body = json.dumps({
+        "src": "A", "dst": "B", "kind": "odd", "sent_at": 0.0,
+        "payload": {"__wire__": "pickle", "b64": blob},
+    }).encode()
+    with pytest.raises(CodecError, match="unknown wire tag 'pickle'"):
+        codec.decode_frame(body)
+    assert codec.pickle_fallbacks == 0
 
 
 def test_codec_rejects_garbage_frames():
@@ -164,6 +174,48 @@ def test_scheduler_recurring_respects_horizon(sched):
     assert len(ticks) == 4  # t=2,4,6,8; the next (10) exceeds the horizon
     with pytest.raises(SimulationError, match="horizon"):
         sched.schedule_recurring(5.0, lambda: None, until=sched.now + 1.0)
+
+
+def test_scheduler_recurring_is_anchored_under_lag():
+    # The first callback blocks for 80% of an interval.  Anchored
+    # firings stay on t=2,4,6,8; re-arming from the (late) end of the
+    # callback would drift to 2, 5.6, 7.6 and miss the fourth slot.
+    scheduler = AsyncioScheduler(tick=0.02)
+    scheduler.start()
+    try:
+        ticks = []
+
+        def lagging():
+            ticks.append(scheduler.now)
+            if len(ticks) == 1:
+                time.sleep(0.8 * 2.0 * scheduler.tick)
+
+        scheduler.schedule_recurring(2.0, lagging, until=9.0)
+        scheduler.run()
+    finally:
+        scheduler.stop()
+    assert [int(t // 2.0) for t in ticks] == [1, 2, 3, 4], ticks
+
+
+def test_scheduler_recurring_skips_overrun_slots_instead_of_bursting():
+    # A callback that overruns two and a half intervals skips the slots
+    # it overran (t=4, 6) and resumes on the anchored grid at t=8.
+    scheduler = AsyncioScheduler(tick=0.02)
+    scheduler.start()
+    try:
+        ticks = []
+
+        def lagging():
+            ticks.append(scheduler.now)
+            if len(ticks) == 1:
+                time.sleep(2.5 * 2.0 * scheduler.tick)
+
+        scheduler.schedule_recurring(2.0, lagging, until=9.0)
+        scheduler.run()
+    finally:
+        scheduler.stop()
+    assert len(ticks) == 2, ticks
+    assert 8.0 <= ticks[1] < 9.0, ticks
 
 
 def test_scheduler_recurring_cancel_stops_chain(sched):
@@ -292,6 +344,33 @@ def test_tcp_mesh_hard_kill_failover_recommits():
         # could ack (a dead process never acknowledges).
         assert db.metrics.value("tcp.frames_dropped_down") > 0
     db.sim.check()
+
+
+def test_teardown_never_runs_timers_against_a_closed_mesh(caplog):
+    # Supervisor heartbeats keep falling due while the mesh closes: a
+    # timer that fired between mesh close and loop stop used to raise
+    # "TCP mesh not started".  The slow close widens that window.
+    db = build_db(
+        replication_factor=3, availability=AvailabilityConfig()
+    )
+    db.start_runtime()
+    db.call_on_runtime(lambda: db.availability.start(until=1e9))
+    db.run(until=db.sim.now + 10.0)
+    mesh_stop = db.network.stop
+
+    def slow_stop():
+        mesh_stop()
+        time.sleep(0.1)  # 20 ticks: several heartbeats fall due
+
+    db.network.stop = slow_stop
+    with caplog.at_level(logging.ERROR, logger="asyncio"):
+        db.stop_runtime()
+        gc.collect()
+    assert db.sim.errors == []
+    assert not [
+        record for record in caplog.records
+        if "Task was destroyed but it is pending" in record.getMessage()
+    ]
 
 
 def test_fault_profile_requires_asyncio_runtime():
