@@ -79,7 +79,7 @@ from repro.replication import (
     ReplicationPipeline,
 )
 from repro.runtime import AsyncioScheduler, FaultProxy, TcpMeshNetwork
-from repro.serve import FrontDoor, serve_frontdoor
+from repro.serve import FrontDoor
 
 __version__ = "1.0.0"
 
@@ -132,5 +132,4 @@ __all__ = [
     "UnrestrictedReadsStrategy",
     "Write",
     "scripted_body",
-    "serve_frontdoor",
 ]

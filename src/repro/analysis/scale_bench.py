@@ -26,12 +26,12 @@ file.  Run it directly with ``python -m repro bench scale``.
 from __future__ import annotations
 
 import hashlib
+import time
 from dataclasses import asdict, dataclass
 
 from repro.cc.ops import Read, Write
 from repro.core.properties import check_mutual_consistency
 from repro.core.system import FragmentedDatabase
-from repro.runtime.api import wall_clock
 
 #: Default full-run shape (the reduced CI smoke passes smaller values).
 DEFAULT_NODES = 32
@@ -114,14 +114,11 @@ def run_side(
 
     db.sim.schedule_at(heal_at, probe)
 
-    # Wall time flows through the explicit Clock interface: the *only*
-    # real-clock read in the simulator-backed analysis code, and it
-    # never feeds back into scheduling — determinism audits grep for
-    # wall_clock()/perf_counter and must find nothing else.
-    wall = wall_clock()
-    start = wall.now()
+    # The only real-clock read in the simulator-backed analysis code;
+    # it never feeds back into scheduling.
+    start = time.perf_counter()
     db.quiesce()
-    elapsed = wall.now() - start
+    elapsed = time.perf_counter() - start
 
     events = db.sim.events_fired
     return SideResult(

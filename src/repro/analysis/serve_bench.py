@@ -37,7 +37,7 @@ import urllib.error
 import urllib.request
 from typing import Any
 
-from repro.analysis.audit import audit_events
+from repro.analysis.audit import AuditReport, audit_events
 from repro.availability import AvailabilityConfig
 from repro.core.system import FragmentedDatabase
 from repro.serve import FrontDoor
@@ -191,6 +191,34 @@ def _drive_workload(
     }
 
 
+def _serve(
+    db: FragmentedDatabase,
+    updates: int,
+    fragments: int,
+    clients: int,
+    kill: bool,
+    deadline: float,
+) -> tuple[dict[str, Any], AuditReport]:
+    """Serve the HTTP workload, stop the runtime, then audit the trace.
+
+    ``stop_runtime`` drains in-flight replication before it halts, so
+    the audit sees every install; the trace sink closes only after it,
+    so the JSONL file keeps them too.
+    """
+    db.start_runtime()
+    try:
+        db.call_on_runtime(lambda: db.availability.start(until=10_000_000.0))
+        with FrontDoor(db, retry_interval=0.2, deadline=deadline) as door:
+            workload = _drive_workload(
+                db, door, updates, fragments, clients, kill
+            )
+    finally:
+        db.stop_runtime()
+        db.tracer.close()
+    db.sim.check()
+    return workload, audit_events(e.as_dict() for e in db.tracer.events())
+
+
 def run_serve_bench(
     nodes: int = DEFAULT_NODES,
     fragments: int = DEFAULT_FRAGMENTS,
@@ -205,25 +233,9 @@ def run_serve_bench(
     db = build_system(
         nodes, fragments, factor, tick=tick, trace_path=trace_path
     )
-    db.start_runtime()
-    try:
-        db.call_on_runtime(lambda: db.availability.start(until=10_000_000.0))
-        with FrontDoor(db, retry_interval=0.2, deadline=60.0) as door:
-            workload = _drive_workload(
-                db, door, updates, fragments, clients, kill
-            )
-        # Let in-flight replication/acks drain before auditing.
-        db.wait_until(
-            lambda: db.network.metrics.value("tcp.outbox_now") == 0,
-            timeout=30.0,
-        )
-        time.sleep(0.5)
-        report = audit_events(e.as_dict() for e in db.tracer.events())
-        failovers = db.metrics.value("avail.failovers")
-    finally:
-        db.tracer.close()
-        db.stop_runtime()
-    db.sim.check()
+    workload, report = _serve(
+        db, updates, fragments, clients, kill, deadline=60.0
+    )
     return {
         "benchmark": "E22-serve-bench",
         "backend": "asyncio",
@@ -233,7 +245,7 @@ def run_serve_bench(
         "clients": clients,
         "tick": tick,
         "kill": kill,
-        "failovers": failovers,
+        "failovers": db.metrics.value("avail.failovers"),
         "audit_ok": report.ok,
         "audit_violations": report.violation_count,
         **workload,
@@ -271,30 +283,10 @@ def run_live_chaos(
         trace_append=trace_append,
         trace_run=f"live@{seed}",
     )
-    db.start_runtime()
-    try:
-        db.call_on_runtime(lambda: db.availability.start(until=10_000_000.0))
-        with FrontDoor(db, retry_interval=0.2, deadline=90.0) as door:
-            workload = _drive_workload(
-                db, door, updates, fragments, clients, kill=True
-            )
-        db.wait_until(
-            lambda: db.network.metrics.value("tcp.outbox_now") == 0,
-            timeout=30.0,
-        )
-        time.sleep(0.5)
-        report = audit_events(e.as_dict() for e in db.tracer.events())
-        proxies = db.network.proxies.values()
-        stats = {
-            "frames_dropped": sum(p.frames_dropped for p in proxies),
-            "frames_blackholed": sum(p.frames_blackholed for p in proxies),
-            "retransmits": db.metrics.value("retrans.resent"),
-            "failovers": db.metrics.value("avail.failovers"),
-        }
-    finally:
-        db.tracer.close()
-        db.stop_runtime()
-    db.sim.check()
+    workload, report = _serve(
+        db, updates, fragments, clients, kill=True, deadline=90.0
+    )
+    proxies = db.network.proxies.values()
     return {
         "backend": "asyncio",
         "seed": seed,
@@ -305,7 +297,10 @@ def run_live_chaos(
         "respects_guarantees": (
             workload["committed"] == workload["submitted"] and report.ok
         ),
-        **stats,
+        "frames_dropped": sum(p.frames_dropped for p in proxies),
+        "frames_blackholed": sum(p.frames_blackholed for p in proxies),
+        "retransmits": db.metrics.value("retrans.resent"),
+        "failovers": db.metrics.value("avail.failovers"),
         **workload,
     }
 

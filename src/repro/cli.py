@@ -432,8 +432,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         pass
     finally:
         door.stop()
-        db.tracer.close()
         db.stop_runtime()
+        db.tracer.close()
     return 0
 
 

@@ -124,35 +124,29 @@ class FragmentedDatabase:
             raise DesignError("at least one node required")
         if replication_factor is not None and replication_factor < 1:
             raise DesignError("replication_factor must be >= 1 (or None)")
-        if runtime not in ("sim", "asyncio"):
-            raise DesignError(
-                f"unknown runtime {runtime!r} (expected 'sim' or 'asyncio')"
-            )
-        self.runtime_name = runtime
-        # The runtime backend: the deterministic discrete-event
-        # simulator, or the real-time asyncio scheduler + TCP mesh
-        # (same duck-typed surface; see repro.runtime).  The asyncio
-        # backend needs an explicit start_runtime()/stop_runtime()
-        # bracket and thread-safe observability (HTTP front-door
-        # threads read metrics while the loop thread writes them).
-        if runtime == "asyncio":
-            from repro.runtime.scheduler import AsyncioScheduler
-
-            self.sim: Simulator | AsyncioScheduler = AsyncioScheduler(
-                tick=tick
-            )
-        else:
-            self.sim = Simulator()
         self.metrics = MetricsRegistry()
         self.tracer = Tracer(clock=lambda: self.sim.now)
-        self.sim.tracer = self.tracer
         self.topology = topology or Topology.full_mesh(
             node_names, default_latency
         )
+        # The runtime backend: the deterministic simulator, or the
+        # real-time asyncio scheduler + TCP mesh.  Both expose one
+        # lifecycle surface (see repro.runtime), so nothing else here
+        # asks which one it holds.
         if runtime == "asyncio":
+            if faults is not None:
+                raise DesignError(
+                    "faults=FaultPlan(...) (simulated faults) requires "
+                    "runtime='sim'; use fault_profile on the asyncio backend"
+                )
+            from repro.runtime.scheduler import AsyncioScheduler
             from repro.runtime.tcp import TcpMeshNetwork
 
+            # HTTP threads read metrics while the loop thread writes.
             self.metrics.enable_thread_safety()
+            self.sim: Simulator | AsyncioScheduler = AsyncioScheduler(
+                tick=tick
+            )
             self.network: Network = TcpMeshNetwork(
                 self.sim,
                 self.topology,
@@ -163,19 +157,27 @@ class FragmentedDatabase:
                 else None,
             )
             self.network.down_guard = self._node_is_down
-        else:
+            lossy = True  # a real network is a faulty network
+        elif runtime == "sim":
             if fault_profile is not None:
                 raise DesignError(
                     "fault_profile (socket-level faults) requires "
                     "runtime='asyncio'; use faults=FaultPlan(...) on the "
                     "simulator backend"
                 )
+            self.sim = Simulator()
             self.network = Network(
                 self.sim,
                 self.topology,
                 tracer=self.tracer,
                 metrics=self.metrics,
             )
+            lossy = faults is not None and faults.message_faults
+        else:
+            raise DesignError(
+                f"unknown runtime {runtime!r} (expected 'sim' or 'asyncio')"
+            )
+        self.sim.tracer = self.tracer
         self.broadcast = ReliableBroadcast(self.network, fifo=fifo_broadcast)
         self.pipeline = ReplicationPipeline(pipeline)
         self.pipeline.attach(self)
@@ -188,16 +190,13 @@ class FragmentedDatabase:
         self.rng = SeededRng(seed)
         # Fault injection + reliable delivery (opt-in; both off on the
         # default fault-free network so existing runs stay untouched).
-        # ``reliable=None`` means "on exactly when message faults are
-        # armed" — the paper's reliable-delivery assumption must be
-        # implemented once the substrate stops granting it for free.
+        # ``reliable=None`` means "on exactly when the substrate can
+        # lose messages" (armed message faults, or real sockets) — the
+        # paper's reliable-delivery assumption must be implemented once
+        # the substrate stops granting it for free.
         self.faults = faults
         if reliable is None:
-            # A real network is a faulty network: the asyncio backend
-            # always earns the delivery assumption with the transport.
-            reliable = (runtime == "asyncio") or (
-                faults is not None and faults.message_faults
-            )
+            reliable = lossy
         if reliable:
             config = reliable if isinstance(reliable, ReliableConfig) else None
             self.transport: ReliableTransport | None = ReliableTransport(
@@ -212,18 +211,9 @@ class FragmentedDatabase:
             self.injector.revive_guard = self._flap_revive_guard
             self.injector.install()
             self.partitions.install(faults.partitions)
-            if runtime == "asyncio":
-                # The real-time scheduler only accepts work once its
-                # loop is up; start_runtime() arms these episodes.
-                self._deferred_crashes: list[CrashEpisode] = list(
-                    faults.crashes
-                )
-            else:
-                self._schedule_crash_episodes(faults.crashes)
-                self._deferred_crashes = []
+            self._schedule_crash_episodes(faults.crashes)
         else:
             self.injector = None
-            self._deferred_crashes = []
         self.action_delay = action_delay
         self.agents: dict[str, Agent] = {}
         self._fragment_agent: dict[str, str] = {}
@@ -763,27 +753,23 @@ class FragmentedDatabase:
     # -- runtime lifecycle -------------------------------------------------------
 
     def start_runtime(self) -> None:
-        """Boot the asyncio backend (loop thread, TCP servers, proxies).
+        """Boot the runtime (loop thread, TCP servers, proxies).
 
-        A no-op on the simulator backend, so harnesses can bracket both
-        backends uniformly.  Idempotent.
+        Nothing to boot on the simulator, so harnesses bracket both
+        backends the same way.  Idempotent.
         """
-        if self.runtime_name != "asyncio":
-            return
         self.sim.start()
         self.network.start()
-        if self._deferred_crashes:
-            self._schedule_crash_episodes(self._deferred_crashes)
-            self._deferred_crashes = []
 
     def stop_runtime(self) -> None:
-        """Tear the asyncio backend down (no-op on the simulator).
+        """Tear the runtime down; idempotent.
 
-        Timers stop first, then the TCP mesh closes under a quiet
-        stack, then the loop ends: no callback ever sees a dead mesh.
+        In-flight traffic drains first, so every live replica installs
+        what its home committed.  Then timers halt, the TCP mesh closes
+        under a quiet stack, and the loop ends: no callback ever sees a
+        dead mesh.
         """
-        if self.runtime_name != "asyncio":
-            return
+        self.network.drain()
         self.sim.halt()
         self.network.stop()
         self.sim.stop()
@@ -796,16 +782,14 @@ class FragmentedDatabase:
         self.stop_runtime()
 
     def call_on_runtime(self, fn: Callable[[], Any], timeout: float = 30.0) -> Any:
-        """Run ``fn`` on the protocol thread and return its result.
+        """Run ``fn`` on the protocol thread, block, and return its result.
 
         On the asyncio backend this marshals onto the loop thread (the
         HTTP front door submits transactions this way); on the simulator
         it simply calls ``fn`` — protocol state is single-threaded
         either way.
         """
-        if self.runtime_name == "asyncio":
-            return self.sim.invoke(fn, timeout=timeout)
-        return fn()
+        return self.sim.invoke(fn, timeout=timeout)
 
     def wait_until(
         self, predicate: Callable[[], bool], timeout: float = 30.0
@@ -815,10 +799,7 @@ class FragmentedDatabase:
         On the simulator this quiesces first (virtual time is free);
         on the asyncio backend it polls in real time up to ``timeout``.
         """
-        if self.runtime_name == "asyncio":
-            return self.sim.wait_until(predicate, timeout=timeout)
-        self.quiesce()
-        return bool(predicate())
+        return self.sim.wait_until(predicate, timeout=timeout)
 
     def _schedule_crash_episodes(self, crashes: Iterable[CrashEpisode]) -> None:
         for crash in crashes:

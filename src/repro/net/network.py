@@ -132,6 +132,16 @@ class Network:
             raise NetworkError(f"handler already registered for {node!r}")
         self._handlers[node] = handler
 
+    # -- runtime lifecycle ------------------------------------------------
+
+    def start(self) -> None:
+        """No-op: simulated deliveries need no socket, outbox or mesh.
+
+        :class:`~repro.runtime.tcp.TcpMeshNetwork` overrides all three.
+        """
+
+    drain = stop = start
+
     # -- sending ----------------------------------------------------------
 
     def send(self, src: str, dst: str, kind: str, payload: Any) -> Message:

@@ -152,6 +152,10 @@ class ReliableTransport:
         """Packets currently awaiting acknowledgment, all channels."""
         return sum(len(chan) for chan in self._outstanding.values())
 
+    def unacked_channels(self) -> list[tuple[str, str]]:
+        """Channels with at least one packet awaiting acknowledgment."""
+        return [channel for channel, chan in self._outstanding.items() if chan]
+
     def buffered_count(self) -> int:
         """Packets parked in receiver reorder buffers, all channels."""
         return sum(len(chan.buffer) for chan in self._recv.values())

@@ -9,8 +9,7 @@ reads, availability supervisor) observes only three capabilities:
 * a **transport** — ``network.send(src, dst, kind, payload)`` with
   at-least-once-or-held delivery into per-node handlers.
 
-:mod:`repro.runtime.api` names those surfaces as protocols.  The
-discrete-event :class:`~repro.sim.simulator.Simulator` and
+The discrete-event :class:`~repro.sim.simulator.Simulator` and
 :class:`~repro.net.network.Network` are the deterministic
 implementation; :class:`~repro.runtime.scheduler.AsyncioScheduler` and
 :class:`~repro.runtime.tcp.TcpMeshNetwork` are the real-time one —
@@ -18,9 +17,17 @@ every node an asyncio task behind a real TCP socket, exchanging
 length-prefixed JSON frames, with the same protocol code running
 unmodified on top.  ``FragmentedDatabase(..., runtime="asyncio")``
 selects the backend.
+
+Both backends also share one lifecycle surface, which
+``FragmentedDatabase`` drives without asking which backend it holds:
+the scheduler's ``start``/``halt``/``stop``, ``invoke(fn)`` and
+``wait_until(predicate)``, and the network's ``start``/``drain``/
+``stop``.  On the simulator every lifecycle step is a no-op, ``invoke``
+calls inline and ``wait_until`` quiesces; on the asyncio backend
+``stop_runtime`` drains in-flight frames and acks, halts timers, closes
+the mesh, then stops the loop.
 """
 
-from repro.runtime.api import Clock, SchedulerProtocol, SimClock, TransportProtocol, WallClock, wall_clock
 from repro.runtime.codec import WireCodec, default_codec
 from repro.runtime.proxy import FaultProxy
 from repro.runtime.scheduler import AsyncioScheduler
@@ -28,14 +35,8 @@ from repro.runtime.tcp import TcpMeshNetwork
 
 __all__ = [
     "AsyncioScheduler",
-    "Clock",
     "FaultProxy",
-    "SchedulerProtocol",
-    "SimClock",
     "TcpMeshNetwork",
-    "TransportProtocol",
-    "WallClock",
     "WireCodec",
     "default_codec",
-    "wall_clock",
 ]

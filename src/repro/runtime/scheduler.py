@@ -33,6 +33,7 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import threading
+import time
 from collections.abc import Callable, Coroutine
 from typing import Any
 
@@ -194,10 +195,6 @@ class AsyncioScheduler:
 
     @property
     def pending(self) -> int:
-        return self._pending
-
-    @property
-    def queue_len(self) -> int:
         return self._pending
 
     @property
@@ -395,19 +392,13 @@ class AsyncioScheduler:
         if self._on_loop_thread():
             raise SimulationError("run() called from a runtime callback")
         self._require_loop()
-        import time as _time
-
         if until is not None:
             while self.now < until:
-                _time.sleep(min(_POLL, (until - self.now) * self.tick))
+                time.sleep(min(_POLL, (until - self.now) * self.tick))
         else:
             while self._pending > 0:
-                _time.sleep(_POLL)
+                time.sleep(_POLL)
         self.check()
-
-    def advance_to(self, time: float) -> None:
-        """Alias of ``run(until=time)`` for harness compatibility."""
-        self.run(until=time)
 
     def wait_until(
         self, predicate: Callable[[], bool], timeout: float = 30.0
@@ -417,13 +408,11 @@ class AsyncioScheduler:
         Returns whether the predicate became true.  The predicate runs
         via :meth:`invoke` so it reads protocol state race-free.
         """
-        import time as _time
-
-        deadline = _time.monotonic() + timeout
-        while _time.monotonic() < deadline:
+        deadline = time.monotonic() + timeout
+        while time.monotonic() < deadline:
             if self.invoke(predicate):
                 return True
-            _time.sleep(_POLL)
+            time.sleep(_POLL)
         return bool(self.invoke(predicate))
 
     def __repr__(self) -> str:

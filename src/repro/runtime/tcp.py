@@ -49,6 +49,10 @@ from repro.runtime.scheduler import AsyncioScheduler
 _CONNECT_ATTEMPTS = 20
 _CONNECT_BACKOFF = 0.05
 
+#: Seconds :meth:`TcpMeshNetwork.drain` waits for in-flight frames and
+#: acks before teardown goes ahead regardless.
+_DRAIN_TIMEOUT = 5.0
+
 
 class TcpMeshNetwork(Network):
     """A real-socket mesh behind the simulated network's interface."""
@@ -124,6 +128,28 @@ class TcpMeshNetwork(Network):
                 await proxy.start()
                 self.proxies[node] = proxy
                 self._dial[node] = proxy.port
+
+    def drain(self) -> None:
+        """Wait, at most ``_DRAIN_TIMEOUT`` s, for in-flight traffic to land.
+
+        Drained means every outbox is empty and no reliable packet is
+        unacknowledged on a live channel (both endpoints up and
+        connected).  A dead or cut-off peer never acks, so its channels
+        must not hold teardown up for the whole retransmit budget.
+        """
+        if self._started and self.sim.running:
+            self.sim.wait_until(self._drained, timeout=_DRAIN_TIMEOUT)
+
+    def _drained(self) -> bool:
+        if self._outbox_depth():
+            return False
+        down = self.down_guard or (lambda _node: False)
+        unacked = self.reliable.unacked_channels() if self.reliable else ()
+        return not any(
+            not down(src) and not down(dst)
+            and self.topology.path_latency(src, dst) is not None
+            for src, dst in unacked
+        )
 
     def stop(self) -> None:
         """Close servers, sender tasks, proxies; idempotent."""

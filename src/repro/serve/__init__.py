@@ -25,6 +25,6 @@ fresh transaction until the supervisor completes the failover or the
 deadline passes; terminal rejections surface as 409 immediately.
 """
 
-from repro.serve.app import FrontDoor, serve_frontdoor
+from repro.serve.app import FrontDoor
 
-__all__ = ["FrontDoor", "serve_frontdoor"]
+__all__ = ["FrontDoor"]

@@ -448,13 +448,3 @@ class _FrontDoorHandler(BaseHTTPRequestHandler):
                     pings += 1
         except (BrokenPipeError, ConnectionError, OSError):
             pass  # client went away
-
-
-def serve_frontdoor(
-    db: FragmentedDatabase,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    **kwargs: Any,
-) -> FrontDoor:
-    """Convenience: build and start a :class:`FrontDoor`."""
-    return FrontDoor(db, host=host, port=port, **kwargs).start()

@@ -25,6 +25,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter, deque
 from collections.abc import Callable
+from typing import Any
 
 from repro.errors import SimulationError
 from repro.obs.taxonomy import SIM_FIRE
@@ -263,6 +264,26 @@ class Simulator:
                 f"cannot advance backwards (now={self._now}, target={time})"
             )
         self.run(until=time)
+
+    # -- runtime lifecycle ------------------------------------------------
+    # The surface FragmentedDatabase drives on either backend (see
+    # repro.runtime).
+
+    def start(self) -> None:
+        """No-op: virtual time has no thread to boot, halt or stop."""
+
+    halt = stop = start
+
+    def invoke(self, fn: Callable[[], Any], timeout: float = 30.0) -> Any:
+        """Call ``fn`` inline: the caller already owns the protocol state."""
+        return fn()
+
+    def wait_until(
+        self, predicate: Callable[[], bool], timeout: float = 30.0
+    ) -> bool:
+        """Quiesce (virtual time is free), then read ``predicate``."""
+        self.run()
+        return bool(predicate())
 
     # -- wheel core -------------------------------------------------------
 

@@ -22,6 +22,7 @@ from repro.core.system import FragmentedDatabase
 from repro.core.transaction import QuasiTransaction
 from repro.errors import DesignError, SimulationError
 from repro.net.broadcast import SeqPayload
+from repro.net.faults import FaultPlan
 from repro.net.message import Message
 from repro.net.reliable import RPacket
 from repro.storage.values import Version
@@ -260,15 +261,22 @@ def test_scheduler_clock_advances_in_ticks(sched):
 # TCP mesh end-to-end
 
 
-def build_db(**kwargs):
+def build_db(runtime="asyncio", **kwargs):
     db = FragmentedDatabase(
-        ["A", "B", "C"], runtime="asyncio", tick=0.005, **kwargs
+        ["A", "B", "C"], runtime=runtime, tick=0.005, **kwargs
     )
     db.add_agent("ag", home_node="A")
     db.add_fragment("F", agent="ag", objects=["x"])
     db.load({"x": 0})
     db.finalize()
     return db
+
+
+def setter(value):
+    def body(_ctx):
+        yield Write("x", value)
+
+    return body
 
 
 def test_tcp_mesh_commit_replicates_over_real_sockets():
@@ -307,12 +315,6 @@ def test_tcp_mesh_hard_kill_failover_recommits():
     db.add_fragment("F", agent="ag", objects=["x"])
     db.load({"x": 0})
     db.finalize()
-
-    def setter(value):
-        def body(_ctx):
-            yield Write("x", value)
-
-        return body
 
     with db:
         db.call_on_runtime(lambda: db.availability.start(until=1e9))
@@ -373,9 +375,85 @@ def test_teardown_never_runs_timers_against_a_closed_mesh(caplog):
     ]
 
 
-def test_fault_profile_requires_asyncio_runtime():
-    with pytest.raises(DesignError, match="fault_profile"):
-        FragmentedDatabase(["A", "B"], fault_profile={"drop": 0.1})
+def test_stop_runtime_drains_committed_writes_to_every_replica():
+    # A write committed at its home is only safe once every replica has
+    # installed it; stop_runtime() must not drop it in flight.
+    # All writes commit inside one loop callback, so nothing has
+    # reached a socket yet when the teardown starts.
+    db = build_db()
+    writes = 5
+    with db:
+        trackers = db.call_on_runtime(
+            lambda: [
+                db.submit_update("ag", setter(v), writes=["x"])
+                for v in range(1, writes + 1)
+            ]
+        )
+        assert all(t.succeeded for t in trackers)
+    for name in "ABC":
+        version = db.nodes[name].store.read_version("x")
+        assert (version.value, version.version_no) == (writes, writes), name
+    db.sim.check()
+
+
+def test_stop_runtime_does_not_wait_on_a_dead_replica():
+    # A hard-killed replica never acks, so its channel stays unacked for
+    # the whole retransmit budget (25 retries, ~6.6 s at this tick).
+    # The drain must skip it and still deliver to the live replica.
+    db = build_db()
+    db.start_runtime()
+    db.call_on_runtime(lambda: db.hard_kill_node("C"))
+    tracker = db.call_on_runtime(
+        lambda: db.submit_update("ag", setter(7), writes=["x"])
+    )
+    assert db.wait_until(lambda: tracker.succeeded, timeout=15.0)
+    assert db.wait_until(
+        lambda: ("A", "C") in db.transport.unacked_channels(), timeout=15.0
+    )
+    started = time.monotonic()
+    db.stop_runtime()
+    assert time.monotonic() - started < 2.0
+    assert db.nodes["B"].store.read_version("x").value == 7
+    db.sim.check()
+
+
+def test_sim_lifecycle_surface_matches_direct_calls():
+    # The simulator implements the same lifecycle surface as a no-op:
+    # bracketing, marshalling and waiting change nothing.
+    def run(via_runtime):
+        db = build_db(runtime="sim")
+        submit = [
+            lambda v=v: db.submit_update("ag", setter(v), writes=["x"])
+            for v in (1, 2, 3)
+        ]
+        if via_runtime:
+            with db:
+                trackers = [db.call_on_runtime(fn) for fn in submit]
+                assert db.wait_until(
+                    lambda: all(t.succeeded for t in trackers)
+                )
+        else:
+            trackers = [fn() for fn in submit]
+            db.quiesce()
+            assert all(t.succeeded for t in trackers)
+        return db.state_hash(), db.sim.events_fired, db.sim.now
+
+    assert run(via_runtime=True) == run(via_runtime=False)
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"fault_profile": {"drop": 0.1}}, "fault_profile"),
+        ({"runtime": "asyncio", "faults": FaultPlan(loss_rate=0.1)},
+         "FaultPlan"),
+    ],
+    ids=["fault_profile-on-sim", "faultplan-on-asyncio"],
+)
+def test_fault_profile_requires_asyncio_runtime(kwargs, match):
+    # Each backend takes its own kind of fault injection only.
+    with pytest.raises(DesignError, match=match):
+        FragmentedDatabase(["A", "B"], **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +461,8 @@ def test_fault_profile_requires_asyncio_runtime():
 
 
 def test_sim_backend_is_still_deterministic():
-    # Satellite check for the Clock refactor: the only sanctioned
-    # real-clock read in simulator-backed analysis code is the
-    # wall_clock() timing wrapper in scale_bench, which never feeds
+    # The only real-clock read in simulator-backed analysis code is
+    # scale_bench's perf_counter() timing of the run, which never feeds
     # back into scheduling.  Two identical runs must produce identical
     # schedules — same final-state hash, same event count.
     from repro.analysis.scale_bench import run_side
