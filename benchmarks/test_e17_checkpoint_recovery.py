@@ -12,82 +12,23 @@ replica down from 30% of the horizon until after the traffic ends:
 * ``snapshot`` (grace elapsed, logs compacted past the rejoiner)
   ships a checkpoint plus the retained tail.
 
-The bounded-logs claims asserted here are the subsystem's contract:
-bytes shipped scale with the gap (or fragment size), not run history,
-and retained state under checkpointing is a fraction of the disarmed
-baseline.  Emits ``BENCH_recovery.json`` at the repo root.
+The gates check the subsystem's bounded-logs contract: bytes shipped
+scale with the gap (or fragment size), not run history, and retained
+state under checkpointing is a fraction of the disarmed baseline.  The
+record is deterministic and compared field-for-field against the
+committed ``BENCH_recovery.json``; regenerate with ``python -m repro
+bench recovery --json BENCH_recovery.json`` after intentional changes.
 """
-
-import json
-from pathlib import Path
 
 from conftest import run_once
 
-from repro.analysis.recovery_bench import MODES, run_rejoin_comparison
-from repro.analysis.report import format_table
+from repro.analysis.bench import BENCHES
 
-SEEDS = (3, 7, 19)
-UPDATES = 60
-EVERY = 8
-GRACE = 60.0
-
-
-def sweep():
-    rows = []
-    for seed in SEEDS:
-        results = run_rejoin_comparison(
-            seed=seed, n_updates=UPDATES, checkpoint_every=EVERY, grace=GRACE
-        )
-        for mode in MODES:
-            rows.append(results[mode].as_dict())
-    return rows
+BENCH = BENCHES["recovery"]
 
 
 def test_e17_checkpoint_recovery(benchmark, report):
-    rows = run_once(benchmark, sweep)
-    headers = [
-        "mode", "seed", "wal_replayed", "checkpoints", "archive_pruned",
-        "delta_qts_shipped", "checkpoints_shipped", "bytes_shipped",
-        "retained_bytes", "rejoin_ticks", "consistent", "audit_ok",
-    ]
-    report(
-        format_table(
-            headers,
-            [[row[h] for h in headers] for row in rows],
-            title=(
-                f"E17 — checkpoint & rejoin cost ({len(SEEDS)} seeds, "
-                f"{UPDATES} updates, checkpoint every {EVERY}, "
-                f"grace {GRACE:g})"
-            ),
-        )
-    )
-    by_mode = {mode: [r for r in rows if r["mode"] == mode] for mode in MODES}
-    for row in rows:
-        assert row["consistent"] and row["audit_ok"], row
-    for full, ckpt, snap in zip(
-        by_mode["full"], by_mode["checkpoint"], by_mode["snapshot"]
-    ):
-        # Checkpoint + WAL-suffix restore replays a fraction of the log.
-        assert ckpt["wal_replayed"] < full["wal_replayed"]
-        assert snap["wal_replayed"] < full["wal_replayed"]
-        # Snapshot shipping beats replaying the rejoiner's whole gap.
-        assert snap["bytes_shipped"] < full["bytes_shipped"]
-        assert snap["checkpoints_shipped"] >= 1
-        assert full["checkpoints_shipped"] == 0
-        # Compaction bounds retained state; disarmed retains everything.
-        assert ckpt["retained_bytes"] < full["retained_bytes"]
-        assert snap["retained_bytes"] < full["retained_bytes"]
-        assert full["archive_pruned"] == 0 and ckpt["archive_pruned"] > 0
-    baseline = {
-        "bench": "e17_checkpoint_recovery",
-        "workload": {
-            "seeds": list(SEEDS),
-            "updates": UPDATES,
-            "checkpoint_every": EVERY,
-            "grace": GRACE,
-        },
-        "rows": rows,
-    }
-    path = Path(__file__).resolve().parents[1] / "BENCH_recovery.json"
-    path.write_text(json.dumps(baseline, indent=2) + "\n")
-    report(f"recovery baseline -> {path.name}: {len(rows)} rows")
+    result = run_once(benchmark, BENCH.run)
+    report(BENCH.table(result))
+    problems = BENCH.check(result)
+    assert not problems, "\n".join(problems)

@@ -1,4 +1,4 @@
-"""The gated benchmark records (E18–E22) behind one harness.
+"""The gated benchmark records (E17–E22) behind one harness.
 
 Each entry of :data:`BENCHES` names a committed record file at the repo
 root, the function that produces a fresh record, its workload options
@@ -24,8 +24,8 @@ from typing import Any
 
 from repro.analysis import (
     availability_bench,
-    failover_bench,
     partial_bench,
+    recovery_bench,
     scale_bench,
     serve_bench,
 )
@@ -125,61 +125,59 @@ def _partial_table(result: dict) -> str:
     )
 
 
-def _mode_title(label: str, result: dict) -> str:
-    return (
-        f"{label}: {result['nodes']} nodes, {result['fragments']} "
-        f"fragments, k={result['replication_factor']}, seed {result['seed']}"
-    )
-
-
-def _failover_table(result: dict) -> str:
+def _availability_table(result: dict) -> str:
     rows = []
     for tag in ("supervised", "unsupervised"):
         mode = result[tag]
+        measured = mode["measured"]
         rows.append([
             tag,
-            f"{mode['committed']}/{mode['submitted']}",
-            mode["blocked"],
-            mode["attempts"],
-            mode["failovers"],
-            mode["demotions"],
-            round(mode["max_unavailability"], 1),
-            round(mode["mttr_max"], 1),
-            mode["audit_ok"],
-        ])
-    return format_table(
-        ["mode", "committed", "blocked", "attempts", "failovers",
-         "demotions", "max-unavail", "mttr-max", "audit"],
-        rows,
-        title=_mode_title("E20 — availability failover", result),
-    )
-
-
-def _accounting_table(result: dict) -> str:
-    rows = []
-    for tag in ("supervised", "unsupervised"):
-        mode = result[tag]
-        rows.append([
-            tag,
+            f"{measured['committed']}/{measured['submitted']}",
+            measured["blocked"],
+            measured["failovers"],
+            round(measured["max_unavailability"], 1),
+            round(measured["mttr_max"], 1),
             f"{mode['write_availability'] * 100:.2f}%",
             f"{mode['read_availability'] * 100:.2f}%",
             round(mode["worst_window"], 1),
-            mode["windows"],
             mode["incidents"],
-            mode["mttd_mean"] if mode["mttd_mean"] is not None else "-",
-            mode["mttr_mean"] if mode["mttr_mean"] is not None else "-",
             mode["timeline_records"],
+            measured["audit_ok"],
         ])
     table = format_table(
-        ["mode", "write-avail", "read-avail", "worst-win", "windows",
-         "incidents", "mttd", "mttr", "tl-records"],
+        ["mode", "committed", "blocked", "failovers", "max-unavail",
+         "mttr-max", "write-avail", "read-avail", "worst-win", "incidents",
+         "tl-records", "audit"],
         rows,
-        title=_mode_title("E21 — availability accounting", result),
+        title=(
+            f"E20/E21 — availability under agent-home crashes: "
+            f"{result['nodes']} nodes, {result['fragments']} fragments, "
+            f"k={result['replication_factor']}, seed {result['seed']}"
+        ),
     )
     deterministic = (
         result["rerun_timeline_hash"] == result["supervised"]["timeline_hash"]
     )
     return f"{table}\ntimeline deterministic across reruns: {deterministic}"
+
+
+def _recovery_table(result: dict) -> str:
+    headers = [
+        "mode", "seed", "committed", "wal_replayed", "checkpoints",
+        "archive_pruned", "delta_qts_shipped", "checkpoints_shipped",
+        "bytes_shipped", "retained_bytes", "rejoin_ticks", "consistent",
+        "audit_ok",
+    ]
+    workload = result["workload"]
+    return format_table(
+        [header.replace("_", "-") for header in headers],
+        [[row[header] for header in headers] for row in result["rows"]],
+        title=(
+            f"E17 — checkpoint & rejoin cost ({len(workload['seeds'])} "
+            f"seeds, {workload['updates']} updates, checkpoint every "
+            f"{workload['checkpoint_every']}, grace {workload['grace']:g})"
+        ),
+    )
 
 
 def _serve_table(result: dict) -> str:
@@ -226,11 +224,6 @@ def _shape(module: Any, *names: str) -> tuple[Option, ...]:
     )
 
 
-#: E20 and E21 run the same workload, so they share its options.
-_AVAILABILITY_OPTIONS = _shape(
-    failover_bench, "nodes", "fragments", "updates", "factor"
-) + (_int("--seed", 20),)
-
 BENCHES: dict[str, Bench] = {
     bench.name: bench
     for bench in (
@@ -269,32 +262,44 @@ BENCHES: dict[str, Bench] = {
             tolerance_help="slack on the (k/N)-scaling gates",
         ),
         Bench(
-            name="failover",
-            help="E20 write availability under agent-home crashes, with "
-            "and without the availability supervisor",
+            name="availability",
+            help="E20/E21 write availability under agent-home crashes, "
+            "with and without the availability supervisor, measured by "
+            "the client and by the availability accountant",
             record="BENCH_availability.json",
-            run=failover_bench.run_failover_bench,
-            options=_AVAILABILITY_OPTIONS,
-            table=_failover_table,
-            gates=failover_bench.gates,
-            claim="supervised outages bounded, every update completed, "
-            "audit (incl. epoch fencing) clean",
-            tolerance=failover_bench.DEFAULT_TOLERANCE,
-            tolerance_help="allowed MTTR regression",
-        ),
-        Bench(
-            name="accounting",
-            help="E21 accountant-vs-measured availability agreement, "
-            "with timeline determinism hashing",
-            record="BENCH_obs.json",
-            run=availability_bench.run_availability_accounting_bench,
-            options=_AVAILABILITY_OPTIONS,
-            table=_accounting_table,
+            run=availability_bench.run_availability_bench,
+            options=_shape(
+                availability_bench, "nodes", "fragments", "updates", "factor"
+            ) + (_int("--seed", 20),),
+            table=_availability_table,
             gates=availability_bench.gates,
-            claim="accountant deterministic, windows agree with the "
-            "measured E20 ground truth",
+            claim="supervised outages bounded, every update completed, "
+            "audit (incl. epoch fencing) clean, accountant deterministic "
+            "and in agreement with the measured windows",
             tolerance=availability_bench.DEFAULT_TOLERANCE,
             tolerance_help="allowed write-availability regression",
+        ),
+        Bench(
+            name="recovery",
+            help="E17 checkpoint & rejoin cost: full replay vs "
+            "checkpoint+delta vs snapshot shipping",
+            record="BENCH_recovery.json",
+            run=recovery_bench.run_recovery_bench,
+            options=(
+                _int("--seeds", list(recovery_bench.DEFAULT_SEEDS),
+                     nargs="+", metavar="SEED", help="seeds to sweep"),
+                _int("--updates", recovery_bench.DEFAULT_UPDATES,
+                     help="update transactions per run"),
+                _int("--every", recovery_bench.DEFAULT_EVERY,
+                     help="checkpoint every K installs (armed modes)"),
+                ("--grace", dict(
+                    type=float, default=recovery_bench.DEFAULT_GRACE,
+                    help="watermark grace for the snapshot mode")),
+            ),
+            table=_recovery_table,
+            gates=recovery_bench.gates,
+            claim="rejoin cost scales with the gap, not run history; "
+            "retained state bounded; every mode consistent and audited",
         ),
         Bench(
             name="serve",

@@ -32,10 +32,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.audit import audit_events
-from repro.analysis.torture import GUARANTEES, PROTOCOLS, _try_move
+from repro.analysis.torture import (
+    GUARANTEES,
+    OBJECTS,
+    PROTOCOLS,
+    _try_move,
+    schedule_updates,
+    setup_fragment,
+)
 from repro.obs.availability import account_events
 from repro.availability import AvailabilityConfig
-from repro.cc.ops import Read, Write
 from repro.core.system import FragmentedDatabase
 from repro.core.transaction import RequestStatus, scripted_body
 from repro.net.faults import CrashEpisode, FaultPlan, LinkFlap, LossBurst
@@ -268,11 +274,7 @@ def run_nemesis(
         append=True,
         context={"run": f"{protocol_name}@{seed}"},
     )
-    db.add_agent("ag", home_node=nodes[0])
-    objects = ["u", "v", "w"]
-    db.add_fragment("F", agent="ag", objects=objects)
-    db.load({obj: 0 for obj in objects})
-    db.finalize()
+    setup_fragment(db, nodes[0])
     if config.failover:
         db.availability.start(until=config.horizon)
 
@@ -296,33 +298,9 @@ def run_nemesis(
             at, lambda d=down_for: kill_home(d), label="nemesis agent-kill"
         )
 
-    trackers = []
-
-    def submit(index: int) -> None:
-        chosen = [obj for obj in objects if workload_rng.bernoulli(0.5)] or [
-            workload_rng.choice(objects)
-        ]
-        value = workload_rng.randint(1, 10_000)
-
-        def body(_ctx):
-            total = 0
-            for obj in chosen:
-                observed = yield Read(obj)
-                total += observed
-            for obj in chosen:
-                yield Write(obj, total + value)
-
-        trackers.append(
-            db.submit_update(
-                "ag", body, reads=chosen, writes=chosen, txn_id=f"T{index}"
-            )
-        )
-
-    for index in range(config.n_updates):
-        db.sim.schedule_at(
-            workload_rng.uniform(0.0, config.horizon * 0.7),
-            lambda i=index: submit(i),
-        )
+    trackers = schedule_updates(
+        db, workload_rng, config.n_updates, config.horizon
+    )
     for _ in range(config.n_moves):
         destination = workload_rng.choice(nodes)
         db.sim.schedule_at(
@@ -342,7 +320,7 @@ def run_nemesis(
         reader = pool[index % len(pool)]
         if db.nodes[reader].down:
             return  # a crashed reader cannot submit (rail, not a draw)
-        obj = workload_rng.choice(objects)
+        obj = workload_rng.choice(OBJECTS)
         read_trackers.append(
             db.submit_readonly(
                 "ag",

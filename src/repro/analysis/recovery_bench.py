@@ -17,6 +17,10 @@ rejoin:
   cursor, and rejoin needs a shipped checkpoint plus retained tail —
   the §4.4 long-partition case.
 
+:func:`run_recovery_bench` sweeps the three modes over several seeds
+into the ``BENCH_recovery.json`` record; run it with ``python -m repro
+bench recovery``.
+
 The point of the numbers: bytes shipped and WAL replayed must scale
 with the *gap* (or the fragment size, for snapshots), not with run
 history — that is the bounded-logs claim the subsystem makes.
@@ -24,10 +28,11 @@ history — that is the bounded-logs claim the subsystem makes.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.analysis.audit import audit_events
-from repro.cc.ops import Read, Write
+from repro.analysis.torture import schedule_updates, setup_fragment
 from repro.core.system import FragmentedDatabase
 from repro.obs import taxonomy
 from repro.recovery import RecoveryConfig
@@ -35,6 +40,12 @@ from repro.sim.rng import SeededRng
 
 #: Recognized benchmark modes, in report order.
 MODES = ("full", "checkpoint", "snapshot")
+
+#: Default sweep: seeds, updates per run, checkpoint interval, grace.
+DEFAULT_SEEDS = (3, 7, 19)
+DEFAULT_UPDATES = 60
+DEFAULT_EVERY = 8
+DEFAULT_GRACE = 60.0
 
 # Shipped-size estimate weights — kept identical to the recovery
 # manager's retained-bytes gauge weights so "bytes shipped" and "bytes
@@ -106,56 +117,25 @@ def run_rejoin(
     horizon: float = 300.0,
     checkpoint_every: int = 8,
     grace: float = 60.0,
-    crash_node: str | None = None,
 ) -> RejoinResult:
     """One crash/rejoin measurement under one recovery mode.
 
     The workload stream is independent of the mode (same seed → same
     updates), so the three modes of one seed are directly comparable.
-    The crashed replica is never the agent's home; it goes down at
-    ``0.3 * horizon`` and recovers 20 ticks after the horizon, when
-    every surviving update has long been installed — the measured
-    catch-up is purely the rejoin cost.
+    The crashed replica (the last node) is never the agent's home; it
+    goes down at ``0.3 * horizon`` and recovers 20 ticks after the
+    horizon, when every surviving update has long been installed — the
+    measured catch-up is purely the rejoin cost.
     """
     rng = SeededRng(seed)
     nodes = [f"N{i}" for i in range(n_nodes)]
-    victim = crash_node or nodes[-1]
+    victim = nodes[-1]
     db = FragmentedDatabase(
         nodes, seed=seed, recovery=_recovery_for(mode, checkpoint_every, grace)
     )
     db.enable_tracing(None)
-    db.add_agent("ag", home_node=nodes[0])
-    objects = ["u", "v", "w"]
-    db.add_fragment("F", agent="ag", objects=objects)
-    db.load({obj: 0 for obj in objects})
-    db.finalize()
-
-    trackers = []
-
-    def submit(index: int) -> None:
-        chosen = [obj for obj in objects if rng.bernoulli(0.5)] or [
-            rng.choice(objects)
-        ]
-        value = rng.randint(1, 10_000)
-
-        def body(_ctx):
-            total = 0
-            for obj in chosen:
-                observed = yield Read(obj)
-                total += observed
-            for obj in chosen:
-                yield Write(obj, total + value)
-
-        trackers.append(
-            db.submit_update(
-                "ag", body, reads=chosen, writes=chosen, txn_id=f"T{index}"
-            )
-        )
-
-    for index in range(n_updates):
-        db.sim.schedule_at(
-            rng.uniform(0.0, horizon * 0.7), lambda i=index: submit(i)
-        )
+    setup_fragment(db, nodes[0])
+    trackers = schedule_updates(db, rng, n_updates, horizon)
 
     wal_at_recovery = [0]
 
@@ -211,22 +191,93 @@ def run_rejoin(
     )
 
 
-def run_rejoin_comparison(
-    seed: int = 7,
-    n_updates: int = 60,
-    horizon: float = 300.0,
-    checkpoint_every: int = 8,
-    grace: float = 60.0,
-) -> dict[str, RejoinResult]:
-    """All three modes of one seed, keyed by mode (the E17 table)."""
-    return {
-        mode: run_rejoin(
+def run_recovery_bench(
+    seeds: Sequence[int] = DEFAULT_SEEDS,
+    updates: int = DEFAULT_UPDATES,
+    every: int = DEFAULT_EVERY,
+    grace: float = DEFAULT_GRACE,
+) -> dict:
+    """The full E17 sweep; returns the ``BENCH_recovery.json`` dict.
+
+    One row per seed and mode, seeds in the given order and the modes
+    of each seed in :data:`MODES` order.
+    """
+    rows = [
+        run_rejoin(
             mode,
             seed=seed,
-            n_updates=n_updates,
-            horizon=horizon,
-            checkpoint_every=checkpoint_every,
+            n_updates=updates,
+            checkpoint_every=every,
             grace=grace,
-        )
+        ).as_dict()
+        for seed in seeds
         for mode in MODES
+    ]
+    return {
+        "bench": "e17_checkpoint_recovery",
+        "workload": {
+            "seeds": list(seeds),
+            "updates": updates,
+            "checkpoint_every": every,
+            "grace": grace,
+        },
+        "rows": rows,
     }
+
+
+def gates(
+    result: dict, committed: dict | None, tolerance: float | None = None
+) -> list[str]:
+    """Verify the E17 bounded-logs claims on a fresh result.
+
+    Intrinsic gates, per seed: every mode converges with a clean audit;
+    checkpoint + WAL-suffix restore replays less of the log than the
+    full replay; snapshot shipping beats shipping the rejoiner's whole
+    gap and ships at least one checkpoint, while the disarmed mode ships
+    none; compaction keeps retained state below the disarmed baseline,
+    which prunes nothing.  Against a committed record the whole record
+    must match exactly (the run is deterministic).  ``tolerance`` is
+    unused: no gate has slack.
+    """
+    messages: list[str] = []
+    rows = result["rows"]
+    for row in rows:
+        if not (row["consistent"] and row["audit_ok"]):
+            messages.append(
+                f"{row['mode']}@{row['seed']}: consistent="
+                f"{row['consistent']} audit_ok={row['audit_ok']}"
+            )
+    by_seed: dict[int, dict[str, dict]] = {}
+    for row in rows:
+        by_seed.setdefault(row["seed"], {})[row["mode"]] = row
+    for seed, modes in by_seed.items():
+        full, ckpt, snap = (modes[mode] for mode in MODES)
+        checks = (
+            (ckpt["wal_replayed"] < full["wal_replayed"],
+             "checkpoint restore does not replay less WAL than full"),
+            (snap["wal_replayed"] < full["wal_replayed"],
+             "snapshot restore does not replay less WAL than full"),
+            (snap["bytes_shipped"] < full["bytes_shipped"],
+             "snapshot ships no fewer bytes than the full gap"),
+            (snap["checkpoints_shipped"] >= 1,
+             "snapshot mode shipped no checkpoint"),
+            (full["checkpoints_shipped"] == 0,
+             "disarmed mode shipped a checkpoint"),
+            (ckpt["retained_bytes"] < full["retained_bytes"],
+             "checkpoint mode retains no less than disarmed"),
+            (snap["retained_bytes"] < full["retained_bytes"],
+             "snapshot mode retains no less than disarmed"),
+            (full["archive_pruned"] == 0, "disarmed mode pruned its archive"),
+            (ckpt["archive_pruned"] > 0, "checkpoint mode pruned nothing"),
+        )
+        messages.extend(
+            f"seed {seed}: {message}" for ok, message in checks if not ok
+        )
+    if committed is not None and committed != result:
+        messages.append(
+            "deterministic record diverges from the committed "
+            "BENCH_recovery.json (regenerate with `python -m repro bench "
+            "recovery --json BENCH_recovery.json` if the change is "
+            "intentional)"
+        )
+    return messages

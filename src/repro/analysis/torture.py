@@ -75,6 +75,58 @@ class TortureResult:
         return True
 
 
+#: The single fragment every harness here drives: agent ``ag`` owns
+#: fragment ``F`` over these objects.
+OBJECTS = ("u", "v", "w")
+
+
+def setup_fragment(db: FragmentedDatabase, home: str) -> None:
+    """Add agent ``ag`` at ``home`` owning ``F`` = {u, v, w}, all 0."""
+    db.add_agent("ag", home_node=home)
+    db.add_fragment("F", agent="ag", objects=list(OBJECTS))
+    db.load({obj: 0 for obj in OBJECTS})
+    db.finalize()
+
+
+def schedule_updates(
+    db: FragmentedDatabase, rng: SeededRng, n: int, horizon: float
+) -> list:
+    """Schedule ``n`` read-sum-write updates ``T0..`` against ``F``.
+
+    Each update fires at a time drawn from ``uniform(0, 0.7·horizon)``
+    now; its object choice and increment are drawn from ``rng`` when it
+    fires.  Returns the tracker list, filled as the updates are
+    submitted.
+    """
+    trackers = []
+
+    def submit(index: int) -> None:
+        chosen = [obj for obj in OBJECTS if rng.bernoulli(0.5)] or [
+            rng.choice(OBJECTS)
+        ]
+        value = rng.randint(1, 10_000)
+
+        def body(_ctx):
+            total = 0
+            for obj in chosen:
+                observed = yield Read(obj)
+                total += observed
+            for obj in chosen:
+                yield Write(obj, total + value)
+
+        trackers.append(
+            db.submit_update(
+                "ag", body, reads=chosen, writes=chosen, txn_id=f"T{index}"
+            )
+        )
+
+    for index in range(n):
+        db.sim.schedule_at(
+            rng.uniform(0.0, horizon * 0.7), lambda i=index: submit(i)
+        )
+    return trackers
+
+
 def run_movement_torture(
     seed: int,
     protocol_name: str,
@@ -101,38 +153,8 @@ def run_movement_torture(
     db = FragmentedDatabase(
         nodes, movement=protocol, seed=seed, pipeline=pipeline, faults=faults
     )
-    db.add_agent("ag", home_node=nodes[0])
-    objects = ["u", "v", "w"]
-    db.add_fragment("F", agent="ag", objects=objects)
-    db.load({obj: 0 for obj in objects})
-    db.finalize()
-
-    trackers = []
-
-    def submit(index: int) -> None:
-        chosen = [obj for obj in objects if rng.bernoulli(0.5)] or [
-            rng.choice(objects)
-        ]
-        value = rng.randint(1, 10_000)
-
-        def body(_ctx):
-            total = 0
-            for obj in chosen:
-                observed = yield Read(obj)
-                total += observed
-            for obj in chosen:
-                yield Write(obj, total + value)
-
-        trackers.append(
-            db.submit_update(
-                "ag", body, reads=chosen, writes=chosen, txn_id=f"T{index}"
-            )
-        )
-
-    for index in range(n_updates):
-        db.sim.schedule_at(
-            rng.uniform(0, horizon * 0.7), lambda i=index: submit(i)
-        )
+    setup_fragment(db, nodes[0])
+    trackers = schedule_updates(db, rng, n_updates, horizon)
     moves = 0
     for _ in range(n_moves):
         destination = rng.choice(nodes)

@@ -13,13 +13,13 @@
     python -m repro spectrum --loss-rate 0.1 --jitter 2   # lossy substrate
     python -m repro chaos --seeds 10    # E16: seeded nemesis sweep
     python -m repro chaos --crashes 2 --checkpoint-every 8  # + recovery armed
-    python -m repro checkpoint          # E17: full vs delta vs snapshot rejoin
     python -m repro audit out.jsonl     # offline lineage audit of a trace
     python -m repro timeline out.jsonl --txn T3   # one txn's causal story
     python -m repro metrics --watch 10 --timeline-out tl.jsonl
     python -m repro dashboard out.jsonl --timeline tl.jsonl --html dash.html
     python -m repro dashboard out.jsonl --serve   # live-reloading server
     python -m repro bench partial --check BENCH_partial.json  # E19 gate
+    python -m repro bench recovery      # E17: full vs delta vs snapshot rejoin
 """
 
 from __future__ import annotations
@@ -437,67 +437,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_checkpoint(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.analysis.recovery_bench import MODES, run_rejoin_comparison
-
-    results = run_rejoin_comparison(
-        seed=args.seed,
-        n_updates=args.updates,
-        checkpoint_every=args.every,
-        grace=args.grace,
-    )
-    rows = []
-    for mode in MODES:
-        result = results[mode]
-        rows.append(
-            [
-                mode,
-                result.committed,
-                result.wal_replayed,
-                result.checkpoints,
-                result.archive_pruned,
-                result.delta_qts_shipped,
-                result.checkpoints_shipped,
-                result.bytes_shipped,
-                result.retained_bytes,
-                round(result.rejoin_ticks, 1),
-                result.consistent,
-                "ok" if result.audit_ok else "FAIL",
-            ]
-        )
-    print(
-        format_table(
-            ["mode", "committed", "wal-replay", "ckpts", "pruned",
-             "delta-qts", "snaps", "bytes-shipped", "retained-bytes",
-             "rejoin", "MC", "audit"],
-            rows,
-            title=(
-                f"checkpoint & rejoin benchmark (E17, seed {args.seed}, "
-                f"{args.updates} updates, every={args.every}, "
-                f"grace={args.grace:g})"
-            ),
-        )
-    )
-    if args.json:
-        payload = {mode: results[mode].as_dict() for mode in MODES}
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"\nresults written to {args.json}")
-    broken = [
-        mode
-        for mode in MODES
-        if not (results[mode].consistent and results[mode].audit_ok)
-    ]
-    if broken:
-        print(f"\nmode(s) broke consistency or audit: {broken}",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
 def cmd_audit(args: argparse.Namespace) -> int:
     from repro.analysis.audit import ALL_CHECKS, audit_trace, write_report
 
@@ -738,7 +677,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def _add_bench_parsers(sub) -> None:
     bench_parser = sub.add_parser(
-        "bench", help="run one gated benchmark record (E18-E22)"
+        "bench", help="run one gated benchmark record (E17-E22)"
     )
     benches = bench_parser.add_subparsers(dest="bench", required=True)
     for bench in BENCHES.values():
@@ -865,30 +804,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_fault_args(chaos)
     chaos.set_defaults(func=cmd_chaos)
-
-    checkpoint = sub.add_parser(
-        "checkpoint",
-        help="checkpoint & rejoin benchmark: full replay vs checkpoint+"
-        "delta vs snapshot shipping (E17)",
-    )
-    checkpoint.add_argument("--seed", type=int, default=7)
-    checkpoint.add_argument(
-        "--updates", type=int, default=60,
-        help="update transactions in the workload",
-    )
-    checkpoint.add_argument(
-        "--every", type=int, default=8,
-        help="checkpoint every K installs (armed modes)",
-    )
-    checkpoint.add_argument(
-        "--grace", type=float, default=60.0,
-        help="watermark grace for the snapshot mode",
-    )
-    checkpoint.add_argument(
-        "--json", default=None, metavar="FILE",
-        help="also write the results as JSON",
-    )
-    checkpoint.set_defaults(func=cmd_checkpoint)
 
     audit = sub.add_parser(
         "audit",

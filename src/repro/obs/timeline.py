@@ -15,8 +15,8 @@ simulated ticks into bounded ring-buffer time series:
 
 Because sampling rides the simulator's own event queue, the records
 are a pure function of simulated time: two runs of the same seed
-produce bit-identical timelines, which the E21 bench asserts by
-hashing the JSONL dump.  The sampler's horizon is bounded (like the
+produce bit-identical timelines, which the E20/E21 availability bench
+asserts by hashing the JSONL dump.  The sampler's horizon is bounded (like the
 availability supervisor's probe chain) so ``quiesce()`` still drains.
 
 ``dump_jsonl``/``load_jsonl`` round-trip the series through the same

@@ -4,8 +4,7 @@ One :class:`RecoveryManager` per :class:`FragmentedDatabase` owns the
 three decisions the checkpoint subsystem has to make:
 
 * **when to checkpoint** — every ``checkpoint_every`` installs per
-  (node, fragment), on demand via :meth:`checkpoint_now`, or from the
-  ``repro checkpoint`` CLI;
+  (node, fragment), or on demand via :meth:`checkpoint_now`;
 * **what may be pruned** — each checkpoint gossips a ``ckpt-mark``
   over the reliable broadcast; every replica prunes its archive,
   admission buffer, and WAL prefix behind the cluster low-watermark

@@ -326,6 +326,8 @@ class TestChaosWithCheckpoints:
             assert result.checkpoints > 0
 
     def test_checkpoint_cli_benchmark_runs(self, capsys):
-        assert cli_main(["checkpoint", "--updates", "24", "--seed", "3"]) == 0
+        assert cli_main(
+            ["bench", "recovery", "--updates", "24", "--seeds", "3"]
+        ) == 0
         out = capsys.readouterr().out
         assert "snapshot" in out and "bytes-shipped" in out

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import copy
 from pathlib import Path
 
 import pytest
@@ -98,6 +99,29 @@ class TestCli:
         write_record(committed, str(fresh))
         assert fresh.read_bytes() == committed_path.read_bytes()
 
+    def test_availability_gates_name_each_doctored_claim(self):
+        committed = load_record(str(ROOT / "BENCH_availability.json"))
+        gates = BENCHES["availability"].gates
+        assert gates(committed, committed, 0.05) == []
+        doctored = copy.deepcopy(committed)
+        doctored["supervised"]["measured"]["blocked"] = 1
+        doctored["rerun_timeline_hash"] = "0" * 64
+        problems = gates(doctored, committed, 0.05)
+        assert "supervised: 1 update(s) permanently blocked" in problems
+        assert any("timeline dump differs" in p for p in problems)
+        assert any("diverges from the committed" in p for p in problems)
+
+    def test_recovery_gates_catch_a_snapshot_shipping_the_whole_gap(self):
+        committed = load_record(str(ROOT / "BENCH_recovery.json"))
+        gates = BENCHES["recovery"].gates
+        assert gates(committed, committed, None) == []
+        doctored = copy.deepcopy(committed)
+        rows = {(row["seed"], row["mode"]): row for row in doctored["rows"]}
+        rows[7, "snapshot"]["bytes_shipped"] = rows[7, "full"]["bytes_shipped"]
+        assert gates(doctored, None, None) == [
+            "seed 7: snapshot ships no fewer bytes than the full gap"
+        ]
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -107,6 +131,9 @@ class TestCli:
             ["availability-accounting-bench"],
             ["serve-bench"],
             ["bench", "serve", "--tolerance", "0.1"],
+            ["checkpoint"],
+            ["bench", "failover"],
+            ["bench", "accounting"],
         ],
     )
     def test_old_bench_commands_and_serve_tolerance_rejected(
@@ -202,7 +229,7 @@ class TestObservabilityCommands:
     ):
         path = str(tmp_path / "bench.json")
         assert main([
-            "bench", "accounting", "--nodes", "4",
+            "bench", "availability", "--nodes", "4",
             "--fragments", "2", "--updates", "12", "--factor", "3",
             "--json", path,
         ]) == 0
@@ -212,7 +239,7 @@ class TestObservabilityCommands:
         assert "all gates OK" in out
         # The record it just wrote gates cleanly against itself.
         assert main([
-            "bench", "accounting", "--nodes", "4",
+            "bench", "availability", "--nodes", "4",
             "--fragments", "2", "--updates", "12", "--factor", "3",
             "--check", path,
         ]) == 0

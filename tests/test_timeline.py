@@ -169,24 +169,15 @@ class TestTimelineSampler:
 
         assert run() == run()
 
-    def test_deterministic_under_chaos_via_failover_bench(self):
-        from repro.analysis.failover_bench import run_mode
+    def test_deterministic_under_chaos_via_availability_bench(self):
+        from repro.analysis.availability_bench import run_mode
 
         def run():
-            box = []
-
-            def attach(db):
-                TimelineSampler(db.metrics, tick=10.0).start(
-                    db.sim, until=120.0
-                )
-                box.append(db)
-
-            run_mode(
+            return run_mode(
                 True, nodes=4, fragments=2, updates=8, factor=3,
-                horizon=120.0, seed=5, db_sink=box, on_db=attach,
+                horizon=120.0, seed=5,
             )
-            return list(box[0].metrics.timeline.records())
 
         first = run()
-        assert first  # the sampler actually saw the run
-        assert first == run()
+        assert first["timeline_records"] > 0  # the sampler saw the run
+        assert first["timeline_hash"] == run()["timeline_hash"]
